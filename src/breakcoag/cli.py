@@ -258,10 +258,24 @@ def _write_csv(path: Path, header: list, rows, config_hash: str):
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _dumps(payload) -> str:
+    """Strict JSON: non-finite floats (n/a residuals) are written as null."""
+    return json.dumps(_finite(payload), indent=2, sort_keys=True,
+                      default=_jsonify, allow_nan=False)
+
+
 def _write_json(path: Path, payload, config_hash: str):
-    path.write_text(json.dumps({"config_hash": config_hash, **payload},
-                               indent=2, sort_keys=True, default=_jsonify)
-                    + "\n")
+    path.write_text(_dumps({"config_hash": config_hash, **payload}) + "\n")
+
+
+def _finite(obj):
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _jsonify(obj):
@@ -289,11 +303,11 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
                      for e in ("run", "gel", "contraction"))
     trajectory = None
     n_trunc = float(config.options.get("n_trunc") or config.grid.x_max)
+    offgrid_loss = bool(config.options.get("offgrid_loss", False))
     if needs_traj:
         tables = build_tables(config.grid, config.kernel, n_trunc,
                               config.daughter, config.prob,
-                              offgrid_loss=bool(
-                                  config.options.get("offgrid_loss", False)))
+                              offgrid_loss=offgrid_loss)
         state0 = sample_initial(config.initial, config.grid)
         trajectory = integrate(tables, state0, config.control)
 
@@ -354,7 +368,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
         results["e_sweep"] = e_sweep(
             config.grid, config.kernel, n_trunc, config.daughter,
             config.initial, config.control, values,
-            config.kernel.declared_alpha)
+            config.kernel.declared_alpha, offgrid_loss)
 
     if "dlvp" in config.experiments:
         theta = float(config.options.get("theta", 0.5))
@@ -388,7 +402,7 @@ def verify_only(config: ScenarioConfig, out_dir=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "hypothesis_report.json", payload,
                     config.config_hash)
-    print(json.dumps(payload, indent=2, sort_keys=True, default=_jsonify))
+    print(_dumps(payload))
     return 0
 
 

@@ -196,14 +196,16 @@ def equicontinuity_modulus(trajectory: Trajectory, alpha: float,
 
 def e_sweep(grid: Grid, kernel: KernelSpec, n_trunc: float,
             daughter: DaughterSpec, ic: InitialCondition,
-            control: StepControl, E_values, alpha: float) -> list[dict]:
+            control: StepControl, E_values, alpha: float,
+            offgrid_loss: bool = False) -> list[dict]:
     """Rerun one scenario template across constant coalescence
     probabilities; reports diagnostics, asserts nothing.
     """
     rows = []
     for e0 in E_values:
         tables = build_tables(grid, kernel, n_trunc, daughter,
-                              ProbSpec.constant(float(e0)))
+                              ProbSpec.constant(float(e0)),
+                              offgrid_loss=offgrid_loss)
         traj = integrate(tables, sample_initial(ic, grid), control)
         series = moment_series(traj, (0.0, 1.0, -2.0 * alpha))
         m1 = series.order(1.0)

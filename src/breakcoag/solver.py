@@ -18,16 +18,25 @@ Design notes
   With ``offgrid_loss=True`` pairs whose product exceeds the grid still
   collide (capped kernel, no pair-sum cutoff) but produce nothing on the
   grid — the configuration used to observe gelation as genuine mass loss.
+* Operator layout.  Away from the diagonal band and the grid top, a pair
+  (i <= j) deposits at fixed offsets from the larger partner's cell j:
+  coalescence brackets at j and j + 1, fragment top cell at j (a row of
+  ``frag_prefix``), partial-cell brackets at j - 1 and j.  There a
+  stream's gain is ``n_j (M^T n)_j`` for its per-pair weights M, so
+  ``stack`` holds one (N, N) weight block per destination (gain at j,
+  j + 1, then j - 1 and top cell j, or the per-parent breakage rates
+  ``(K (1 - E))^T``) and last ``K_death^T``: one GEMV ``number @ stack``
+  plus shifted adds applies them.  Other pairs stay packed in ``rem_*``
+  for one ``bincount``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .daughter import DaughterSpec, ProbSpec, eval_E, moment_integral, \
-    partial_moment_integral
+from .daughter import DaughterSpec, ProbSpec, eval_E, partial_moment_integral
 from .errors import ConfigError, IntegrationError
 from .grid import Grid, State
 from .kernels import KernelSpec, eval_kernel
@@ -42,6 +51,9 @@ __all__ = [
     "integrate",
     "weak_form_residual",
 ]
+
+_DENSE_TABLES = ("coag_l1", "coag_l2", "coag_w1", "coag_w2", "frag_top",
+                 "frag_w", "frag_pl1", "frag_pl2", "frag_pw1", "frag_pw2")
 
 
 def _pow_integral(a, b, ex):
@@ -74,9 +86,28 @@ def _remap_points(centers, zbar, num):
     return jl, jr, w1, w2
 
 
+def _pair_deposits(grid: Grid, daughter: DaughterSpec, s: np.ndarray,
+                   active: np.ndarray) -> dict:
+    """``_DENSE_TABLES`` for pairs of total size ``s`` (any shape); the
+    coalescence weights vanish where not ``active``, the fragment tables
+    are None for per-parent daughters."""
+    l1, l2, w1, w2 = _remap_points(grid.centers, s, np.ones_like(s))
+    tables = {"coag_l1": l1, "coag_l2": l2,
+              "coag_w1": np.where(active, w1, 0.0),
+              "coag_w2": np.where(active, w2, 0.0)}
+    if daughter.per_parent:
+        return tables | dict.fromkeys(_DENSE_TABLES[4:])
+    top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, s)
+    return tables | {"frag_top": top, "frag_w": s ** (-(daughter.nu + 1.0)),
+                     "frag_pl1": pl1, "frag_pl2": pl2,
+                     "frag_pw1": pw1, "frag_pw2": pw2}
+
+
 @dataclass(frozen=True)
 class OperatorTables:
-    """Immutable pair tables for one (grid, kernel, daughter, prob) scenario."""
+    """Immutable operator tables for one (grid, kernel, daughter, prob)
+    scenario.  The dense (N, N) deposit tables named in ``_DENSE_TABLES``
+    are not kept; they are rebuilt on first access."""
 
     grid: Grid
     kernel: KernelSpec
@@ -84,56 +115,26 @@ class OperatorTables:
     prob: ProbSpec
     n_trunc: float
     offgrid_loss: bool
-    K_table: np.ndarray          # gain kernel, zero for c_i + c_j >= n_trunc
-    K_death: np.ndarray          # death kernel (== K_table unless offgrid_loss)
+    stack: np.ndarray                  # (N, B*N) weight blocks, death last
+    K_table: np.ndarray                # gain kernel; K_death unless offgrid_loss
+    K_death: np.ndarray                # death kernel, a view of the last block
     E_table: np.ndarray
-    coag_l1: np.ndarray
-    coag_l2: np.ndarray
-    coag_w1: np.ndarray
-    coag_w2: np.ndarray
+    rem_i: np.ndarray                  # (R,) pairs off the fixed offsets
+    rem_j: np.ndarray
+    rem_dest: np.ndarray               # (S, R) per stream; N + t is top cell t
+    rem_w: np.ndarray                  # (S, R) per-pair weights
     frag_prefix: np.ndarray | None     # (N+1, N): deposits from complete cells
-    frag_top: np.ndarray | None        # (pair top-cell index,) int
-    frag_w: np.ndarray | None          # pair scale s^-(nu+1)
-    frag_pl1: np.ndarray | None
-    frag_pl2: np.ndarray | None
-    frag_pw1: np.ndarray | None
-    frag_pw2: np.ndarray | None
     frag_parent: np.ndarray | None     # (N, N) per-parent deposits (power_each)
-    # Packed upper-triangle tables (constant factors folded in) used by the
-    # hot right-hand-side path; ``_pack`` in __post_init__ fills them.
-    tri_i: np.ndarray = None
-    tri_j: np.ndarray = None
-    tri_cl1: np.ndarray = None
-    tri_cl2: np.ndarray = None
-    tri_cw1: np.ndarray = None
-    tri_cw2: np.ndarray = None
-    tri_top: np.ndarray = None
-    tri_fq: np.ndarray = None
-    tri_fq1: np.ndarray = None
-    tri_fq2: np.ndarray = None
-    tri_fl1: np.ndarray = None
-    tri_fl2: np.ndarray = None
 
-    def __post_init__(self):
-        N = self.grid.cell_count
-        i, j = np.triu_indices(N)
-        mult = np.where(i == j, 1.0, 2.0)       # off-diagonal pairs count twice
-        rc = mult * 0.5 * self.K_table[i, j] * self.E_table[i, j]
-        rb = mult * 0.5 * self.K_table[i, j] * (1.0 - self.E_table[i, j])
-        object.__setattr__(self, "tri_i", i)
-        object.__setattr__(self, "tri_j", j)
-        object.__setattr__(self, "tri_cl1", self.coag_l1[i, j])
-        object.__setattr__(self, "tri_cl2", self.coag_l2[i, j])
-        object.__setattr__(self, "tri_cw1", rc * self.coag_w1[i, j])
-        object.__setattr__(self, "tri_cw2", rc * self.coag_w2[i, j])
-        if self.frag_parent is None and self.frag_top is not None:
-            fq = rb * self.frag_w[i, j]
-            object.__setattr__(self, "tri_top", self.frag_top[i, j])
-            object.__setattr__(self, "tri_fq", fq)
-            object.__setattr__(self, "tri_fq1", fq * self.frag_pw1[i, j])
-            object.__setattr__(self, "tri_fq2", fq * self.frag_pw2[i, j])
-            object.__setattr__(self, "tri_fl1", self.frag_pl1[i, j])
-            object.__setattr__(self, "tri_fl2", self.frag_pl2[i, j])
+    def __getattr__(self, name):
+        if name not in _DENSE_TABLES:
+            raise AttributeError(name)
+        c = self.grid.centers
+        dense = _pair_deposits(self.grid, self.daughter, np.add.outer(c, c),
+                               self.K_table > 0)
+        for key, value in dense.items():
+            object.__setattr__(self, key, value)
+        return dense[name]
 
     def cell_fragment_numbers(self, i: int, j: int) -> np.ndarray:
         """Raw per-destination-cell fragment number integrals for pair (i, j)
@@ -166,16 +167,11 @@ def _frag_prefix_matrix(daughter: DaughterSpec, grid: Grid) -> np.ndarray:
     N = grid.cell_count
     gnum, gmass, lump_mass = _frag_cell_lumps(daughter, grid.edges)
     l1, l2, w1, w2 = _remap_points(grid.centers, gmass / gnum, gnum)
-    prefix = np.zeros((N + 1, N))
-    row = np.zeros(N)
-    row[0] += lump_mass / grid.centers[0]
-    prefix[0] = row
-    for k in range(N):
-        row = row.copy()
-        row[l1[k]] += w1[k]
-        row[l2[k]] += w2[k]
-        prefix[k + 1] = row
-    return prefix
+    cells = np.zeros((N + 1, N))          # row k + 1: deposits of cell k
+    cells[0, 0] = lump_mass / grid.centers[0]
+    np.add.at(cells, (np.arange(1, N + 1), l1), w1)
+    np.add.at(cells, (np.arange(1, N + 1), l2), w2)
+    return np.cumsum(cells, axis=0)
 
 
 def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
@@ -213,7 +209,7 @@ def _frag_parent_matrix(daughter: DaughterSpec, grid: Grid) -> np.ndarray:
 def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
                  daughter: DaughterSpec, prob: ProbSpec,
                  offgrid_loss: bool = False) -> OperatorTables:
-    """Precompute all pair tables for the truncated system."""
+    """Precompute the weight blocks and remainder for the truncated system."""
     if n_trunc > grid.x_max:
         raise ConfigError("truncation level cannot exceed the grid top")
     if daughter.per_parent and kernel.declared_alpha > 0.0:
@@ -224,68 +220,91 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         raise ConfigError(
             "simulation requires a finite fragment count (daughter exponent > -1)")
     c = grid.centers
-    X, Y = np.meshgrid(c, c, indexing="ij")
+    N = c.size
+    X, Y = c[:, None], c[None, :]
     s = X + Y
-    Kfull = np.asarray(eval_kernel(kernel, X, Y), dtype=float)
+    E_table = np.asarray(eval_E(prob, X, Y), dtype=float)
+    stack = np.zeros((N, 4 * N if daughter.per_parent else 5 * N))
+    K_death = stack[:, -N:].T
+    K_death[...] = eval_kernel(kernel, X, Y)
     # offgrid_loss drops the rate cap and keeps the raw kernel in the loss
     # term: pairs whose product leaves the grid still collide but produce
     # nothing representable, so mass genuinely leaks to large sizes — the
     # configuration used to observe gelation.  The default caps and cuts
     # both terms identically, which conserves mass exactly.
-    gain_base = Kfull if offgrid_loss else np.minimum(Kfull, n_trunc)
-    K_table = np.where(s < n_trunc, gain_base, 0.0)
-    K_death = Kfull if offgrid_loss else K_table
-    E_table = np.asarray(eval_E(prob, X, Y), dtype=float)
+    if offgrid_loss:
+        K_table = np.where(s < n_trunc, K_death, 0.0)
+    else:
+        np.minimum(K_death, n_trunc, out=K_death)
+        K_death[s >= n_trunc] = 0.0
+        K_table = K_death
+    del s
 
-    active = K_table > 0
-    l1, l2, w1, w2 = _remap_points(c, s, np.ones_like(s))
-    w1 = np.where(active, w1, 0.0)
-    w2 = np.where(active, w2, 0.0)
-
+    iu, ju = np.triu_indices(N)
+    K_pair = K_table[iu, ju]
+    E_pair = E_table[iu, ju]
+    dep = _pair_deposits(grid, daughter, c[iu] + c[ju], K_pair > 0)
+    # a diagonal pair is one collision type; an off-diagonal pair stands
+    # for both orders, each at half the rate
+    rate = np.where(iu == ju, 0.5, 1.0) * K_pair
+    coag = rate * E_pair
+    # (destination, weight, block); block b is regular at j + offset[b]
+    streams = [(dep["coag_l1"], coag * dep["coag_w1"], 0),
+               (dep["coag_l2"], coag * dep["coag_w2"], 1)]
+    frag_prefix = frag_parent = None
     if daughter.per_parent:
         frag_parent = _frag_parent_matrix(daughter, grid)
-        prefix = top = fw = pl1 = pl2 = pw1 = pw2 = None
+        np.multiply(K_table, 1.0 - E_table, out=stack[:, 2 * N:3 * N].T)
     else:
-        frag_parent = None
-        prefix = _frag_prefix_matrix(daughter, grid)
-        top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, s)
-        fw = s ** (-(daughter.nu + 1.0))
-
+        frag_prefix = _frag_prefix_matrix(daughter, grid)
+        frag = rate * (1.0 - E_pair) * dep["frag_w"]
+        streams += [(dep["frag_pl2"], frag * dep["frag_pw2"], 0),
+                    (dep["frag_pl1"], frag * dep["frag_pw1"], 2),
+                    (N + dep["frag_top"], frag, 3)]
+    del dep, rate, coag, K_pair, E_pair
+    offset = (0, 1, -1, N)
+    regular = np.ones(iu.size, dtype=bool)
+    for dest, w, b in streams:
+        regular &= (w == 0.0) | (dest == ju + offset[b])
+    rows, cols = iu[regular], ju[regular]
+    for _, w, b in streams:
+        stack[rows, cols + b * N] += w[regular]
+    irregular = ~regular
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
-        n_trunc=float(n_trunc), offgrid_loss=offgrid_loss,
+        n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, stack=stack,
         K_table=K_table, K_death=K_death, E_table=E_table,
-        coag_l1=l1, coag_l2=l2, coag_w1=w1, coag_w2=w2,
-        frag_prefix=prefix, frag_top=top, frag_w=fw,
-        frag_pl1=pl1, frag_pl2=pl2, frag_pw1=pw1, frag_pw2=pw2,
-        frag_parent=frag_parent,
-    )
+        rem_i=iu[irregular], rem_j=ju[irregular],
+        rem_dest=np.array([dest[irregular] for dest, _, _ in streams]),
+        rem_w=np.array([w[irregular] for _, w, _ in streams]),
+        frag_prefix=frag_prefix, frag_parent=frag_parent)
 
 
-def _rhs(tables: OperatorTables, density: np.ndarray) -> np.ndarray:
+def _rates(tables: OperatorTables, density: np.ndarray):
+    """Rate of change of the density and the death rate ``K_death @ n``."""
     g = tables.grid
     N = g.cell_count
     number = density * g.widths
-    P = number[tables.tri_i] * number[tables.tri_j]
-
-    gain = np.bincount(tables.tri_cl1, weights=P * tables.tri_cw1, minlength=N)
-    gain += np.bincount(tables.tri_cl2, weights=P * tables.tri_cw2, minlength=N)
-
+    v = (number @ tables.stack).reshape(-1, N)
+    u = number * v[:-1]
+    P = number[tables.rem_i] * number[tables.rem_j]
+    # an empty bincount comes back as integers
+    out = np.bincount(tables.rem_dest.ravel(), (tables.rem_w * P).ravel(),
+                      2 * N + 1).astype(float, copy=False)
+    gain = out[:N] + u[0]
+    gain[1:] += u[1, :-1]
     if tables.frag_parent is not None:
-        R = tables.K_table * np.outer(number, number)
-        Rb = 0.5 * (1.0 - tables.E_table) * R
-        gain += (2.0 * Rb.sum(axis=1)) @ tables.frag_parent
+        gain += u[2] @ tables.frag_parent
     else:
-        T = np.bincount(tables.tri_top, weights=P * tables.tri_fq,
-                        minlength=N + 1)
-        gain += T @ tables.frag_prefix
-        gain += np.bincount(tables.tri_fl1, weights=P * tables.tri_fq1,
-                            minlength=N)
-        gain += np.bincount(tables.tri_fl2, weights=P * tables.tri_fq2,
-                            minlength=N)
+        gain[:-1] += u[2, 1:]
+        top = out[N:]
+        top[:-1] += u[3]
+        gain += top @ tables.frag_prefix
+    return gain / g.widths - density * v[-1], v[-1]
 
-    death = density * (tables.K_death @ number)
-    return gain / g.widths - death
+
+def _rhs(tables: OperatorTables, density: np.ndarray) -> np.ndarray:
+    return _rates(tables, density)[0]
 
 
 def apply_rhs(tables: OperatorTables, state: State) -> np.ndarray:
@@ -349,15 +368,14 @@ def _clip(density: np.ndarray, grid: Grid):
     return np.maximum(density, 0.0), clipped
 
 
-def _attempt(tables: OperatorTables, f: np.ndarray, h: float, method: str):
-    """One trial step; returns (f_new, error_indicator or None)."""
+def _attempt(tables: OperatorTables, f: np.ndarray, k1: np.ndarray,
+             h: float, method: str):
+    """One trial step from f with slope k1; returns (f_new, error or None)."""
     if method == "rk4":
-        k1 = _rhs(tables, f)
         k2 = _rhs(tables, f + 0.5 * h * k1)
         k3 = _rhs(tables, f + 0.5 * h * k2)
         k4 = _rhs(tables, f + h * k3)
         return f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None
-    k1 = _rhs(tables, f)
     f_euler = f + h * k1
     k2 = _rhs(tables, np.maximum(f_euler, 0.0))
     f_new = f + 0.5 * h * (k1 + k2)
@@ -368,10 +386,8 @@ def step(tables: OperatorTables, state: State, control: StepControl) -> State:
     """Advance a single accepted time step of size control.dt."""
     if control.dt is None or control.dt <= 0:
         raise ConfigError("step needs a positive dt")
-    horizon = StepControl(method=control.method, dt=control.dt,
-                          rtol=control.rtol, atol=control.atol,
-                          dt_min=control.dt_min, dt_max=control.dt,
-                          t_end=state.time + control.dt)
+    horizon = replace(control, dt_max=control.dt, output_times=(),
+                      t_end=state.time + control.dt)
     traj = integrate(tables, state, horizon)
     return traj.state(len(traj) - 1)
 
@@ -395,27 +411,29 @@ def integrate(tables: OperatorTables, state: State,
     n_steps = n_rejected = 0
     adaptive = control.method == "heun"
 
+    # slope and death rate at f, kept until f changes
+    k1, death_rate = _rates(tables, f)
     if adaptive:
-        scale = float(np.max(np.abs(_rhs(tables, f)))) if f.any() else 0.0
+        scale = float(np.max(np.abs(k1))) if f.any() else 0.0
         dt = min(control.dt_max,
                  0.01 / scale if scale > 0 else (t_end - t) / 100 or 1.0)
     else:
         dt = float(control.dt)
 
     while next_out < out_times.size:
+        if k1 is None:
+            k1, death_rate = _rates(tables, f)
         target = float(out_times[next_out])
         h = min(dt, target - t)
         if adaptive:
             # keep explicit death sub-steps positivity-preserving
-            lam = float(np.max(tables.K_death @ (f * g.widths)))
+            lam = float(np.max(death_rate))
             if lam > 0:
                 h = min(h, 0.9 / lam)
-        f_new, err_vec = _attempt(tables, f, h, control.method)
+        f_new, err_vec = _attempt(tables, f, k1, h, control.method)
 
-        if adaptive:
-            err = float(np.max(err_vec / (atol + control.rtol * np.abs(f))))
-        else:
-            err = 0.0
+        err = float(np.max(err_vec / (atol + control.rtol * np.abs(f)))) \
+            if adaptive else 0.0
 
         f_new, clipped = _clip(f_new, g)
         mass_now = float((f_new * g.centers * g.widths).sum())
@@ -424,6 +442,7 @@ def integrate(tables: OperatorTables, state: State,
 
         if accepted:
             f = f_new
+            k1 = None
             t += h
             clipped_total += clipped
             n_steps += 1

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +133,61 @@ class TestMain:
         code = cli.main(["run", _write(tmp_path, cfg),
                          "--out", str(tmp_path / "results")])
         assert code == 4
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestOutputs:
+    def test_json_outputs_are_strict(self, tmp_path, capsys):
+        # K = x + y leaves the sub-quadratic and singular checks n/a
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["kernel"] = {"family": "additive"}
+        cfg["experiments"] = ["run", "verify", "gel", "sweep"]
+        cfg["options"] = {"sweep_E": [0.5, 1.0]}
+        path = _write(tmp_path, cfg)
+        out = tmp_path / "results"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", path, "--out", str(tmp_path / "v")]) == 0
+        printed = capsys.readouterr().out.removesuffix("ok\n")
+        texts = [p.read_text() for p in sorted(out.glob("*.json"))]
+        texts += [(tmp_path / "v" / "hypothesis_report.json").read_text(),
+                  printed]
+        assert len(texts) == 4
+        experiments, report, _, _ = [_strict_loads(t) for t in texts]
+        assert experiments["e_sweep"]
+        assert None in [c["residual"] for c in report["checks"].values()]
+
+    def test_sweep_keeps_offgrid_loss(self, tmp_path):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"] = {"x_min": 1e-2, "x_max": 1e3, "cells": 100}
+        cfg["kernel"] = {"family": "product"}
+        cfg["control"] = {"t_end": 1.0, "outputs": 21}
+        cfg["experiments"] = ["gel", "sweep"]
+        cfg["options"] = {"offgrid_loss": True, "sweep_E": [0.9]}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        exp = json.loads((out / "experiments.json").read_text())
+        assert exp["gelation"]["onset"] is not None
+        mass = [float(row.split(",")[2]) for row in
+                (out / "moments.csv").read_text().splitlines()[2:]]
+        main_loss = 1.0 - mass[-1] / mass[0]
+        sweep_loss = exp["e_sweep"][0]["mass_drift"]
+        assert main_loss > 0.1
+        assert 0.5 * main_loss < sweep_loss < 2.0 * main_loss
+
+
+class TestReadme:
+    def test_readme_example_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "config.json"
+        path.write_text(block)
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+                         "--override", "control.t_end=0.5"])
+        assert code == 0

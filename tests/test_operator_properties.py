@@ -1,0 +1,177 @@
+"""Property tests of the discrete operator on every table path: random
+grid sizes, truncation levels, kernel families, daughter laws,
+coalescence probabilities and non-negative states.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
+
+import breakcoag as bc
+from breakcoag.solver import _rhs
+from test_solver import _reference_rhs
+
+X_MIN = 1e-3
+
+
+def nonnegative(high):
+    """Zero or a value in [1e-6, high]: weights near the underflow range
+    lose relative precision under any summation order."""
+    return st.just(0.0) | st.floats(1e-6, high)
+
+
+def _grid(n, x_max):
+    if n > 1:
+        return bc.make_grid(X_MIN, x_max, n)
+    # make_grid asks for two cells; the operator itself works on one
+    edges = np.array([X_MIN, x_max])
+    return bc.Grid(X_MIN, x_max, 1, edges, np.sqrt(edges[:-1] * edges[1:]),
+                   np.diff(edges))
+
+
+@st.composite
+def kernels(draw, x_max):
+    family = draw(st.sampled_from(["constant", "additive", "product",
+                                   "smoluchowski", "sum_product", "bg_ratio",
+                                   "table"]))
+    if family == "constant":
+        return bc.KernelSpec.constant(draw(st.floats(0.1, 10.0)))
+    if family == "sum_product":
+        zeta = draw(st.floats(-0.45, 0.5))
+        return bc.KernelSpec.sum_product(zeta, draw(st.floats(zeta, 1.0)))
+    if family == "bg_ratio":
+        return bc.KernelSpec.bg_ratio(draw(st.floats(0.0, 0.9)),
+                                      draw(st.floats(0.0, 1.5)))
+    if family == "table":
+        axis = np.geomspace(X_MIN, x_max, 5)
+        upper = draw(st.lists(nonnegative(10.0), min_size=15, max_size=15))
+        K = np.zeros((5, 5))
+        K[np.triu_indices(5)] = upper
+        return bc.KernelSpec.table(axis, axis, K + np.triu(K, 1).T,
+                                  declared_k1=10.0)
+    return getattr(bc.KernelSpec, family)()
+
+
+daughters = st.one_of(
+    st.just(bc.DaughterSpec.uniform()),
+    st.floats(-0.9, 2.0).map(bc.DaughterSpec.power_total),
+    st.floats(-0.9, 2.0).map(bc.DaughterSpec.power_each))
+
+probabilities = nonnegative(1.0) | st.just(1.0)
+
+
+@st.composite
+def probs(draw, coalescence_only=False):
+    value = st.just(1.0) if coalescence_only else probabilities
+    if draw(st.booleans()):
+        return bc.ProbSpec.constant(draw(value))
+    return bc.ProbSpec.small_volume_floor(draw(value), draw(value),
+                                          10.0 ** draw(st.floats(-3.0, 2.0)))
+
+
+@st.composite
+def scenarios(draw, coalescence_only=False, offgrid_loss=None):
+    """(tables, density) for one random scenario."""
+    n = draw(st.integers(1, 40))
+    x_max = draw(st.sampled_from([10.0, 1e2, 1e3]))
+    kernel = draw(kernels(x_max))
+    daughter = draw(daughters)
+    assume(not (daughter.per_parent and kernel.declared_alpha > 0.0))
+    n_trunc = x_max * draw(st.just(1.0) | st.floats(0.05, 0.99))
+    if offgrid_loss is None:
+        offgrid_loss = draw(st.booleans())
+    tables = bc.build_tables(_grid(n, x_max), kernel, n_trunc, daughter,
+                             draw(probs(coalescence_only)),
+                             offgrid_loss=offgrid_loss)
+    density = draw(st.lists(nonnegative(1e2),
+                            min_size=n, max_size=n))
+    return tables, np.array(density)
+
+
+def _terms(tables, density):
+    """Dense reference rate and the size of its gain and loss terms."""
+    ref = _reference_rhs(tables, density)
+    death = density * (tables.K_death @ (density * tables.grid.widths))
+    return ref, np.abs(ref + death) + death
+
+
+def _deposits(tables):
+    """(N, N, 2N+1) per-pair deposits: cells < N are gains, N + t is the
+    fragment top cell t; from the dense per-pair tables."""
+    g = tables.grid
+    N = g.cell_count
+    i, j = np.triu_indices(N)
+    rate = np.where(i == j, 0.5, 1.0) * tables.K_table[i, j]
+    coag = rate * tables.E_table[i, j]
+    streams = [(tables.coag_l1, coag * tables.coag_w1[i, j]),
+               (tables.coag_l2, coag * tables.coag_w2[i, j])]
+    if tables.frag_parent is None:
+        frag = rate * (1.0 - tables.E_table[i, j]) * tables.frag_w[i, j]
+        streams += [(tables.frag_pl2, frag * tables.frag_pw2[i, j]),
+                    (tables.frag_pl1, frag * tables.frag_pw1[i, j]),
+                    (N + tables.frag_top, frag)]
+    out = np.zeros((N, N, 2 * N + 1))
+    for dest, w in streams:
+        np.add.at(out, (i, j, dest[i, j]), w)
+    return out
+
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@SETTINGS
+@given(scenarios())
+def test_rhs_matches_dense_reference(case):
+    tables, density = case
+    ref, scale = _terms(tables, density)
+    assert np.all(np.abs(_rhs(tables, density) - ref) <= 1e-12 * scale)
+
+
+@SETTINGS
+@given(scenarios())
+def test_blocks_and_remainder_carry_each_pair_once(case):
+    tables, _ = case
+    N = tables.grid.cell_count
+    blocks = tables.stack.reshape(N, -1, N).transpose(1, 0, 2)
+    gain_blocks = 2 if tables.frag_parent is not None else 4
+    got = np.zeros((N, N, 2 * N + 1))
+    for b, offset in enumerate((0, 1, -1, N)[:gain_blocks]):
+        assert not np.tril(blocks[b], -1).any()      # pairs are i <= j
+        lo, hi = (N, 2 * N) if offset == N else (0, N - 1)
+        for j in range(N):
+            if lo <= j + offset <= hi:
+                got[:, j, j + offset] += blocks[b][:, j]
+            else:
+                assert not blocks[b][:, j].any()
+    for dest, w in zip(tables.rem_dest, tables.rem_w):
+        np.add.at(got, (tables.rem_i, tables.rem_j, dest), w)
+    assert_allclose(got, _deposits(tables), rtol=1e-14, atol=0.0)
+    assert_array_equal(blocks[-1].T, tables.K_death)
+    if tables.frag_parent is not None:
+        assert_array_equal(blocks[2].T,
+                           tables.K_table * (1.0 - tables.E_table))
+
+
+@SETTINGS
+@given(scenarios(offgrid_loss=False))
+def test_mass_rate_vanishes(case):
+    tables, density = case
+    g = tables.grid
+    mass = g.centers * g.widths
+    _, scale = _terms(tables, density)
+    assert abs(mass @ _rhs(tables, density)) <= 1e-12 * (mass @ scale)
+
+
+@SETTINGS
+@given(scenarios(coalescence_only=True))
+def test_no_fragment_gain_when_E_is_one(case):
+    tables, density = case
+    coag_only = bc.build_tables(tables.grid, tables.kernel, tables.n_trunc,
+                                bc.DaughterSpec.uniform(), tables.prob,
+                                offgrid_loss=tables.offgrid_loss)
+    _, scale = _terms(tables, density)
+    assert np.all(np.abs(_rhs(tables, density) - _rhs(coag_only, density))
+                  <= 1e-12 * scale)
+    N = tables.grid.cell_count
+    assert not tables.stack[:, 2 * N:-N].any()
+    assert not tables.rem_w[2:].any()
