@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 configuration error, 3 integration failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -249,13 +248,26 @@ def parse_config(path, overrides=()) -> ScenarioConfig:
 # output writers (deterministic, hash-stamped)
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list, rows, config_hash: str):
+def _write_csv(path: Path, header: list, table, config_hash: str,
+               prefix=None):
+    """Write a float table as CSV, in one ``write`` call.
+
+    Byte layout: ``# config_hash=<hash>\n``, then the header and one line per
+    row of ``table``, each terminated by ``\r\n`` (the csv module's default
+    dialect). Cells are separated by commas and every value is written as
+    ``repr`` of a Python float, the shortest string that reads back to the
+    same double. ``prefix``, when given, holds one pre-rendered string per
+    row (its leading cells and their trailing comma), so that columns shared
+    by many files are formatted once.
+    """
+    table = np.asarray(table, dtype=float)
+    cells = map(repr, table.ravel().tolist())
+    rows = map(",".join, zip(*[cells] * table.shape[1]))
+    if prefix is not None:
+        rows = map(str.__add__, prefix, rows)
+    text = "\r\n".join([",".join(header), *rows])
     with path.open("w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write(f"# config_hash={config_hash}\n{text}\r\n")
 
 
 def _dumps(payload) -> str:
@@ -319,11 +331,12 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
         _write_csv(out / "moments.csv",
                    ["t"] + [f"M_{m:g}" for m in series.orders],
                    np.column_stack([series.times, series.values]), h)
+        cell_prefix = [f"{x!r},{dx!r}," for x, dx in
+                       zip(config.grid.centers.tolist(),
+                           config.grid.widths.tolist())]
         for k in range(len(trajectory)):
             _write_csv(out / f"trajectory_{k:04d}.csv", ["x_center", "dx", "f"],
-                       np.column_stack([config.grid.centers,
-                                        config.grid.widths,
-                                        trajectory.densities[k]]), h)
+                       trajectory.densities[k][:, None], h, cell_prefix)
 
     results = {}
     if "run" in config.experiments:

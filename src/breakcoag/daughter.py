@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .kernels import check_table, table_lookup
 
 __all__ = [
     "DaughterSpec",
@@ -226,15 +227,10 @@ class ProbSpec:
 
     @classmethod
     def table(cls, x: np.ndarray, y: np.ndarray, E: np.ndarray) -> "ProbSpec":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        E = np.asarray(E, dtype=float)
-        if x.ndim != 1 or y.ndim != 1 or E.shape != (x.size, y.size):
-            raise ConfigError("probability table needs E with shape (len(x), len(y))")
+        """Tabulated E on a rectangular log grid, bilinear in log x/y."""
+        x, y, E = check_table(x, y, E, "probability table")
         if np.any(E < 0) or np.any(E > 1):
             raise ConfigError("probability table values must lie in [0, 1]")
-        if np.any(x <= 0) or np.any(np.diff(x) <= 0) or np.any(y <= 0) or np.any(np.diff(y) <= 0):
-            raise ConfigError("table axes must be positive and strictly increasing")
         return cls("table", {"x": x, "y": y, "E": E})
 
 
@@ -248,15 +244,5 @@ def eval_E(spec: ProbSpec, x, y):
         cut = spec.params["cut"]
         return np.where((x < cut) & (y < cut),
                         spec.params["E_small"], spec.params["E_large"])
-    # table: nearest-cell bilinear lookup in log coordinates
-    tx, ty, E = spec.params["x"], spec.params["y"], spec.params["E"]
-    if np.any(x < tx[0]) or np.any(x > tx[-1]) or np.any(y < ty[0]) or np.any(y > ty[-1]):
-        raise DomainError("probability table queried outside its box")
-    lx, ly = np.log(tx), np.log(ty)
-    ix = np.clip(np.searchsorted(lx, np.log(x)) - 1, 0, lx.size - 2)
-    iy = np.clip(np.searchsorted(ly, np.log(y)) - 1, 0, ly.size - 2)
-    wx = (np.log(x) - lx[ix]) / (lx[ix + 1] - lx[ix])
-    wy = (np.log(y) - ly[iy]) / (ly[iy + 1] - ly[iy])
-    vals = ((1 - wx) * (1 - wy) * E[ix, iy] + wx * (1 - wy) * E[ix + 1, iy]
-            + (1 - wx) * wy * E[ix, iy + 1] + wx * wy * E[ix + 1, iy + 1])
-    return np.clip(vals, 0.0, 1.0)
+    p = spec.params
+    return np.clip(table_lookup(p["x"], p["y"], p["E"], x, y), 0.0, 1.0)

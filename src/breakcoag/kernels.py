@@ -118,18 +118,9 @@ class KernelSpec:
               declared_alpha: float = 0.0,
               declared_k1: float | None = None) -> "KernelSpec":
         """Tabulated kernel on a rectangular log grid, bilinear in log x/y."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        K = np.asarray(K, dtype=float)
-        if x.ndim != 1 or y.ndim != 1 or K.shape != (x.size, y.size):
-            raise ConfigError("table kernel needs K with shape (len(x), len(y))")
-        if np.any(x <= 0) or np.any(y <= 0) or np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
-            raise ConfigError("table axes must be positive and strictly increasing")
+        x, y, K = check_table(x, y, K, "table kernel")
         if np.any(K < 0):
             raise ConfigError("table kernel values must be non-negative")
-        sym = K + K.T if x.size == y.size and np.allclose(x, y) else None
-        if sym is not None and not np.allclose(K, K.T, rtol=1e-12, atol=0):
-            raise ConfigError("table kernel must be symmetric on a shared axis")
         if declared_k1 is None:
             declared_k1 = float(K.max()) if K.size else 1.0
         return cls("table", {"x": x, "y": y, "K": K},
@@ -157,23 +148,49 @@ def eval_kernel(spec: KernelSpec, x, y):
     if fam == "constant":
         return np.full_like(x * y, spec.params["c"])
     if fam == "table":
-        return _eval_table(spec, x, y)
+        p = spec.params
+        return table_lookup(p["x"], p["y"], p["K"], x, y)
     raise ConfigError(f"unknown kernel family {fam!r}")
 
 
-def _eval_table(spec: KernelSpec, x, y):
-    tx, ty, K = spec.params["x"], spec.params["y"], spec.params["K"]
+# ---------------------------------------------------------------------------
+# tables on a rectangular log grid (kernels and coalescence probabilities)
+# ---------------------------------------------------------------------------
+
+def check_table(x, y, values, what: str):
+    """Validate a table over the axes x, y; return the three as float arrays.
+
+    Axes must be positive and strictly increasing; on a shared axis the
+    table must be symmetric to 1e-12 relative.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if x.ndim != 1 or y.ndim != 1 or values.shape != (x.size, y.size):
+        raise ConfigError(f"{what} needs values of shape (len(x), len(y))")
+    if np.any(x <= 0) or np.any(y <= 0) or np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
+        raise ConfigError("table axes must be positive and strictly increasing")
+    if (x.size == y.size and np.allclose(x, y)
+            and not np.allclose(values, values.T, rtol=1e-12, atol=0)):
+        raise ConfigError(f"{what} must be symmetric on a shared axis")
+    return x, y, values
+
+
+def table_lookup(tx, ty, values, x, y):
+    """Bilinear interpolation in (log x, log y) inside the tabulated box."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x < tx[0]) or np.any(x > tx[-1]) or np.any(y < ty[0]) or np.any(y > ty[-1]):
-        raise DomainError("table kernel queried outside its tabulated box")
+        raise DomainError("table queried outside its tabulated box")
     lx, ly = np.log(tx), np.log(ty)
     ix = np.clip(np.searchsorted(lx, np.log(x)) - 1, 0, lx.size - 2)
     iy = np.clip(np.searchsorted(ly, np.log(y)) - 1, 0, ly.size - 2)
     wx = (np.log(x) - lx[ix]) / (lx[ix + 1] - lx[ix])
     wy = (np.log(y) - ly[iy]) / (ly[iy + 1] - ly[iy])
-    return ((1 - wx) * (1 - wy) * K[ix, iy] + wx * (1 - wy) * K[ix + 1, iy]
-            + (1 - wx) * wy * K[ix, iy + 1] + wx * wy * K[ix + 1, iy + 1])
+    return ((1 - wx) * (1 - wy) * values[ix, iy]
+            + wx * (1 - wy) * values[ix + 1, iy]
+            + (1 - wx) * wy * values[ix, iy + 1]
+            + wx * wy * values[ix + 1, iy + 1])
 
 
 class TruncatedKernel:

@@ -394,14 +394,21 @@ def step(tables: OperatorTables, state: State, control: StepControl) -> State:
 
 def integrate(tables: OperatorTables, state: State,
               control: StepControl) -> Trajectory:
-    """Integrate to t_end, recording the states at the output times."""
+    """Integrate to t_end, recording the states at the output times.
+
+    Output times must lie in [state.time, t_end]; both ends are always
+    recorded.
+    """
     g = tables.grid
     f = state.density.astype(float).copy()
     t = float(state.time)
     t_end = float(control.t_end)
-    out_times = np.asarray(sorted({t, t_end}
-                                  | {float(s) for s in control.output_times
-                                     if t < float(s) < t_end}))
+    requested = {float(s) for s in control.output_times}
+    outside = sorted(s for s in requested if not t <= s <= t_end)
+    if outside:
+        raise ConfigError(f"output times {outside} lie outside the horizon "
+                          f"[{t!r}, {t_end!r}]")
+    out_times = np.asarray(sorted({t, t_end} | requested))
     mass0 = float((f * g.centers * g.widths).sum())
     atol = control.atol if control.atol is not None else 1e-12 * max(mass0, 1.0)
 

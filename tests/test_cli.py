@@ -1,7 +1,9 @@
+import csv
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import breakcoag.cli as cli
@@ -96,10 +98,25 @@ class TestMain:
         bad["prob"]["value"] = 2.0
         assert cli.main(["run", _write(tmp_path, bad)]) == 2
 
-    def test_verify_exit_zero(self, tmp_path, capsys):
-        assert cli.main(["verify", _write(tmp_path, MINIMAL)]) == 0
+    def test_verify_exit_zero(self, tmp_path, capsys, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        report = tmp_path / "report"
+        assert cli.main(["verify", _write(tmp_path, MINIMAL),
+                         "--out", str(report)]) == 0
         out = capsys.readouterr().out
         assert "checks" in out
+        assert (report / "hypothesis_report.json").is_file()
+        assert not (cwd / "results").exists()
+
+    def test_output_time_outside_horizon_exit_two(self, tmp_path):
+        for bad in ([0.0, 0.5, 1.5], [-0.1, 0.5, 1.0]):
+            cfg = json.loads(json.dumps(MINIMAL))
+            cfg["control"] = {"t_end": 1.0, "output_times": bad}
+            code = cli.main(["run", _write(tmp_path, cfg),
+                             "--out", str(tmp_path / "results")])
+            assert code == 2
 
     def test_contraction_gate_failure(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
@@ -179,6 +196,67 @@ class TestOutputs:
         sweep_loss = exp["e_sweep"][0]["mass_drift"]
         assert main_loss > 0.1
         assert 0.5 * main_loss < sweep_loss < 2.0 * main_loss
+
+
+def _oracle_csv(path, header, rows, config_hash):
+    """The csv-module rendering the writer must reproduce byte for byte."""
+    with path.open("w", newline="") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+    return path.read_bytes()
+
+
+class TestCsvWriter:
+    def _random_table(self, rng, rows, cols):
+        mantissa = rng.standard_normal((rows, cols))
+        return mantissa * 10.0 ** rng.integers(-300, 300, (rows, cols))
+
+    def _check(self, tmp_path, header, table, prefix_columns=()):
+        new = tmp_path / "new.csv"
+        prefix = None
+        if prefix_columns:
+            x, dx = (c.tolist() for c in prefix_columns)
+            prefix = [f"{a!r},{b!r}," for a, b in zip(x, dx)]
+        cli._write_csv(new, header, table, "0123abcd", prefix)
+        rows = np.column_stack([*prefix_columns, table])
+        assert new.read_bytes() == _oracle_csv(tmp_path / "oracle.csv",
+                                               header, rows, "0123abcd")
+
+    def test_matches_csv_module_without_prefix(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for cols in (1, 2, 6):
+            header = [f"M_{m}" for m in range(cols)]
+            self._check(tmp_path, header, self._random_table(rng, 37, cols))
+
+    def test_matches_csv_module_with_prefix(self, tmp_path):
+        rng = np.random.default_rng(12)
+        x = np.geomspace(1e-4, 1e3, 50)
+        dx = rng.random(50) * x
+        f = self._random_table(rng, 50, 1)
+        self._check(tmp_path, ["x_center", "dx", "f"], f, (x, dx))
+
+    def test_edge_values(self, tmp_path):
+        edge = np.array([0.0, -0.0, 5e-324, 1e-310, 1e300, -1e300,
+                         np.inf, -np.inf, np.nan])
+        table = np.column_stack([edge, edge[::-1], np.roll(edge, 3)])
+        self._check(tmp_path, ["a", "b", "c"], table)
+        self._check(tmp_path, ["x_center", "dx", "f"], edge[:, None],
+                    (edge[::-1], np.roll(edge, 4)))
+
+    def test_run_outputs_match_csv_module(self, tmp_path):
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, MINIMAL),
+                         "--out", str(out)]) == 0
+        for name in ("moments.csv", "trajectory_0000.csv",
+                     "trajectory_0005.csv"):
+            lines = (out / name).read_text().splitlines()
+            rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+            assert (out / name).read_bytes() == _oracle_csv(
+                tmp_path / "oracle.csv", lines[1].split(","), rows,
+                lines[0].removeprefix("# config_hash="))
 
 
 class TestReadme:

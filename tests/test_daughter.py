@@ -130,6 +130,46 @@ class TestProbSpec:
         assert_allclose(bc.eval_E(spec, 0.5, 0.5), 0.7)
         assert_allclose(bc.eval_E(spec, 2.0, 3.0), 0.2)
 
+    def test_asymmetric_table_rejected(self):
+        x = np.geomspace(0.1, 10.0, 5)
+        E = np.tile(np.linspace(0.1, 0.9, 5), (5, 1))
+        with pytest.raises(ConfigError, match="symmetric"):
+            bc.ProbSpec.table(x, x, E)
+        bc.ProbSpec.table(x, 2.0 * x, E)  # distinct axes: no symmetry to ask
+
+    def test_tables_share_one_log_bilinear_lookup(self):
+        # both table families: the same formula, term for term, as a
+        # hand-written lookup in log coordinates
+        rng = np.random.default_rng(7)
+        axis = np.geomspace(1e-2, 1e2, 6)
+        K = rng.random((6, 6))
+        K = K + K.T
+        E = 0.5 * (K / K.max())
+        x = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 500))
+        y = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 500))
+        x[:6], y[:6] = axis, axis[::-1]
+
+        def lookup(table):
+            la = np.log(axis)
+            ix = np.clip(np.searchsorted(la, np.log(x)) - 1, 0, 4)
+            iy = np.clip(np.searchsorted(la, np.log(y)) - 1, 0, 4)
+            wx = (np.log(x) - la[ix]) / (la[ix + 1] - la[ix])
+            wy = (np.log(y) - la[iy]) / (la[iy + 1] - la[iy])
+            return ((1 - wx) * (1 - wy) * table[ix, iy]
+                    + wx * (1 - wy) * table[ix + 1, iy]
+                    + (1 - wx) * wy * table[ix, iy + 1]
+                    + wx * wy * table[ix + 1, iy + 1])
+
+        kernel = bc.KernelSpec.table(axis, axis, K)
+        prob = bc.ProbSpec.table(axis, axis, E)
+        np.testing.assert_array_equal(bc.eval_kernel(kernel, x, y), lookup(K))
+        np.testing.assert_array_equal(bc.eval_E(prob, x, y),
+                                      np.clip(lookup(E), 0.0, 1.0))
+        assert_allclose(bc.eval_E(prob, axis[1], axis[4]), E[1, 4],
+                        rtol=1e-12)
+        with pytest.raises(DomainError):
+            bc.eval_E(prob, 1e-3, 1.0)
+
     @settings(max_examples=40, deadline=None)
     @given(x=positive, y=positive)
     def test_symmetry_and_range(self, x, y):

@@ -183,6 +183,18 @@ class TestStepAndIntegrate:
         m1 = traj.densities @ (small_grid.centers * small_grid.widths)
         assert np.max(np.abs(m1 / m1[0] - 1.0)) <= 1e-10
 
+    def test_output_times_outside_horizon_rejected(self, small_grid):
+        t = _tables(small_grid)
+        z = bc.State(grid=small_grid, density=np.zeros(small_grid.cell_count),
+                     time=0.5)
+        for bad in ((0.4, 0.75), (0.75, 1.0 + 1e-9)):
+            with pytest.raises(ConfigError, match="outside the horizon"):
+                bc.integrate(t, z, bc.StepControl(method="heun", t_end=1.0,
+                                                  output_times=bad))
+        traj = bc.integrate(t, z, bc.StepControl(
+            method="heun", t_end=1.0, output_times=(1.0, 0.5, 0.75)))
+        assert traj.times.tolist() == [0.5, 0.75, 1.0]
+
     def test_control_validation(self):
         with pytest.raises(ConfigError):
             bc.StepControl(method="euler")
