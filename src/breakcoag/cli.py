@@ -301,15 +301,14 @@ def _jsonify(obj):
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> int:
-    """Execute the requested experiments; returns the process exit code."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    h = config.config_hash
-    failures = []
+    """Execute the requested experiments; returns the process exit code.
 
+    Every file is written after the last experiment has finished, so a run
+    that stops with a configuration or integration error writes nothing.
+    """
+    failures = []
     report = check_scenario(config.kernel, config.daughter, config.prob,
                             config.initial)
-    _write_json(out / "hypothesis_report.json", report.to_dict(), h)
 
     needs_traj = any(e in config.experiments
                      for e in ("run", "gel", "contraction"))
@@ -328,15 +327,6 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
                                     [-2.0 * alpha, -alpha, 0.0, 1.0, 2.0])
         orders = sorted(set(float(m) for m in orders) | {0.0, 1.0})
         series = moment_series(trajectory, orders)
-        _write_csv(out / "moments.csv",
-                   ["t"] + [f"M_{m:g}" for m in series.orders],
-                   np.column_stack([series.times, series.values]), h)
-        cell_prefix = [f"{x!r},{dx!r}," for x, dx in
-                       zip(config.grid.centers.tolist(),
-                           config.grid.widths.tolist())]
-        for k in range(len(trajectory)):
-            _write_csv(out / f"trajectory_{k:04d}.csv", ["x_center", "dx", "f"],
-                       trajectory.densities[k][:, None], h, cell_prefix)
 
     results = {}
     if "run" in config.experiments:
@@ -396,6 +386,20 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
             failures.append("dlvp construction checks failed")
 
     results["failures"] = failures
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    h = config.config_hash
+    _write_json(out / "hypothesis_report.json", report.to_dict(), h)
+    if needs_traj:
+        _write_csv(out / "moments.csv",
+                   ["t"] + [f"M_{m:g}" for m in series.orders],
+                   np.column_stack([series.times, series.values]), h)
+        cell_prefix = [f"{x!r},{dx!r}," for x, dx in
+                       zip(config.grid.centers.tolist(),
+                           config.grid.widths.tolist())]
+        for k in range(len(trajectory)):
+            _write_csv(out / f"trajectory_{k:04d}.csv", ["x_center", "dx", "f"],
+                       trajectory.densities[k][:, None], h, cell_prefix)
     _write_json(out / "experiments.json", results, h)
     return 4 if failures else 0
 

@@ -27,7 +27,8 @@ Design notes
   j + 1, then j - 1 and top cell j, or the per-parent breakage rates
   ``(K (1 - E))^T``) and last ``K_death^T``: one GEMV ``number @ stack``
   plus shifted adds applies them.  Other pairs stay packed in ``rem_*``
-  for one ``bincount``.
+  for one ``bincount``.  This is the only form of the operator: the
+  weak-form residual reads its rates through the same ``_rates``.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ __all__ = [
     "integrate",
     "weak_form_residual",
 ]
-
-_DENSE_TABLES = ("coag_l1", "coag_l2", "coag_w1", "coag_w2", "frag_top",
-                 "frag_w", "frag_pl1", "frag_pl2", "frag_pw1", "frag_pw2")
 
 
 def _pow_integral(a, b, ex):
@@ -88,15 +86,16 @@ def _remap_points(centers, zbar, num):
 
 def _pair_deposits(grid: Grid, daughter: DaughterSpec, s: np.ndarray,
                    active: np.ndarray) -> dict:
-    """``_DENSE_TABLES`` for pairs of total size ``s`` (any shape); the
-    coalescence weights vanish where not ``active``, the fragment tables
-    are None for per-parent daughters."""
+    """Deposit tables for pairs of total size ``s`` (any shape): the
+    coalescence brackets and number weights ``coag_*`` (weights zero where
+    not ``active``) and, unless the daughter is per-parent, the fragment
+    top cell, scale and partial-cell brackets and weights ``frag_*``."""
     l1, l2, w1, w2 = _remap_points(grid.centers, s, np.ones_like(s))
     tables = {"coag_l1": l1, "coag_l2": l2,
               "coag_w1": np.where(active, w1, 0.0),
               "coag_w2": np.where(active, w2, 0.0)}
     if daughter.per_parent:
-        return tables | dict.fromkeys(_DENSE_TABLES[4:])
+        return tables
     top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, s)
     return tables | {"frag_top": top, "frag_w": s ** (-(daughter.nu + 1.0)),
                      "frag_pl1": pl1, "frag_pl2": pl2,
@@ -106,8 +105,8 @@ def _pair_deposits(grid: Grid, daughter: DaughterSpec, s: np.ndarray,
 @dataclass(frozen=True)
 class OperatorTables:
     """Immutable operator tables for one (grid, kernel, daughter, prob)
-    scenario.  The dense (N, N) deposit tables named in ``_DENSE_TABLES``
-    are not kept; they are rebuilt on first access."""
+    scenario: the one representation of the discrete operator, read by
+    both the time stepping and the weak-form residual."""
 
     grid: Grid
     kernel: KernelSpec
@@ -125,16 +124,6 @@ class OperatorTables:
     rem_w: np.ndarray                  # (S, R) per-pair weights
     frag_prefix: np.ndarray | None     # (N+1, N): deposits from complete cells
     frag_parent: np.ndarray | None     # (N, N) per-parent deposits (power_each)
-
-    def __getattr__(self, name):
-        if name not in _DENSE_TABLES:
-            raise AttributeError(name)
-        c = self.grid.centers
-        dense = _pair_deposits(self.grid, self.daughter, np.add.outer(c, c),
-                               self.K_table > 0)
-        for key, value in dense.items():
-            object.__setattr__(self, key, value)
-        return dense[name]
 
     def cell_fragment_numbers(self, i: int, j: int) -> np.ndarray:
         """Raw per-destination-cell fragment number integrals for pair (i, j)
@@ -488,19 +477,6 @@ def integrate(tables: OperatorTables, state: State,
 # weak formulation
 # ---------------------------------------------------------------------------
 
-def _phi_fragment_gain(tables: OperatorTables, phi_c):
-    """Per-pair ``sum_z phi(z) * (fragment deposit)`` read off the deposit
-    tables, i.e. the exact discrete counterpart of ``int phi(z) b dz``.
-    """
-    if tables.frag_parent is not None:
-        per = tables.frag_parent @ phi_c
-        return per[:, None] + per[None, :]
-    pref = tables.frag_prefix @ phi_c
-    return tables.frag_w * (pref[tables.frag_top]
-                            + tables.frag_pw1 * phi_c[tables.frag_pl1]
-                            + tables.frag_pw2 * phi_c[tables.frag_pl2])
-
-
 def _phi_values(phi_kind, x):
     kind, arg = phi_kind
     if kind == "power":
@@ -518,30 +494,24 @@ def weak_form_residual(trajectory: Trajectory, tables: OperatorTables,
     ``d/dt int phi f = 1/2 sum_ij zeta_phi K f f``.
 
     ``phi_kind`` is ("power", m), ("capped", a), or ("indicator", a).
+    The rate at each output is ``sum phi dn/dt`` of the operator's own
+    ``_rates``, so phi = x gives the mass identity zeta_x = 0; its loss
+    uses the gain kernel, so with ``offgrid_loss`` the collisions that
+    leave the grid show up as residual.  Intervals use the trapezoid rule.
     Returns absolute and relative interval residuals; an interval where
     both sides vanish at rounding level counts as zero relative residual.
     """
     if len(trajectory) < 3:
         raise ConfigError("need at least 3 output times")
-    g = trajectory.grid
-    c, dx = g.centers, g.widths
-    phi_c = _phi_values(phi_kind, c)
-    # phi is a grid function, so both gain terms evaluate it through the
-    # deposit weights of the scheme (linear interpolation at x + y for the
-    # coalescence product, deposit-table sums for the fragments); phi = x
-    # then reproduces the exact mass identity zeta_x = 0.
-    phi_at_sum = (tables.coag_w1 * phi_c[tables.coag_l1]
-                  + tables.coag_w2 * phi_c[tables.coag_l2])
-    zeta = (tables.E_table * phi_at_sum
-            + (1.0 - tables.E_table) * _phi_fragment_gain(tables, phi_c)
-            - phi_c[:, None] - phi_c[None, :])
-
+    dx = trajectory.grid.widths
+    phi_c = _phi_values(phi_kind, trajectory.grid.centers)
     mphi = trajectory.densities @ (phi_c * dx)
-    zk = zeta * tables.K_table
     rates = np.empty(len(trajectory))
-    for k in range(len(trajectory)):
-        number = trajectory.densities[k] * dx
-        rates[k] = 0.5 * float(number @ zk @ number)
+    for k, density in enumerate(trajectory.densities):
+        rate, death = _rates(tables, density)
+        number = density * dx
+        rates[k] = ((phi_c * dx) @ rate
+                    + (phi_c * number) @ (death - tables.K_table @ number))
 
     dts = np.diff(trajectory.times)
     lhs = np.diff(mphi)

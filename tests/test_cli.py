@@ -114,9 +114,10 @@ class TestMain:
         for bad in ([0.0, 0.5, 1.5], [-0.1, 0.5, 1.0]):
             cfg = json.loads(json.dumps(MINIMAL))
             cfg["control"] = {"t_end": 1.0, "output_times": bad}
-            code = cli.main(["run", _write(tmp_path, cfg),
-                             "--out", str(tmp_path / "results")])
+            out = tmp_path / "results"
+            code = cli.main(["run", _write(tmp_path, cfg), "--out", str(out)])
             assert code == 2
+            assert not out.exists() or not any(out.iterdir())
 
     def test_contraction_gate_failure(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
@@ -126,6 +127,7 @@ class TestMain:
         out = tmp_path / "results"
         code = cli.main(["run", _write(tmp_path, cfg), "--out", str(out)])
         assert code == 2
+        assert not out.exists() or not any(out.iterdir())
 
     def test_gel_experiment_reports_loss(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))

@@ -1,6 +1,7 @@
 """Property tests of the discrete operator on every table path: random
 grid sizes, truncation levels, kernel families, daughter laws,
-coalescence probabilities and non-negative states.
+coalescence probabilities and non-negative states; and of the weak-form
+residual that reads it.
 """
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import breakcoag as bc
-from breakcoag.solver import _rhs
-from test_solver import _reference_rhs
+from breakcoag.solver import _phi_values, _rhs
+from test_solver import _reference_rhs, dense_deposits
 
 X_MIN = 1e-3
 
@@ -100,16 +101,17 @@ def _deposits(tables):
     fragment top cell t; from the dense per-pair tables."""
     g = tables.grid
     N = g.cell_count
+    d = dense_deposits(tables)
     i, j = np.triu_indices(N)
     rate = np.where(i == j, 0.5, 1.0) * tables.K_table[i, j]
     coag = rate * tables.E_table[i, j]
-    streams = [(tables.coag_l1, coag * tables.coag_w1[i, j]),
-               (tables.coag_l2, coag * tables.coag_w2[i, j])]
+    streams = [(d["coag_l1"], coag * d["coag_w1"][i, j]),
+               (d["coag_l2"], coag * d["coag_w2"][i, j])]
     if tables.frag_parent is None:
-        frag = rate * (1.0 - tables.E_table[i, j]) * tables.frag_w[i, j]
-        streams += [(tables.frag_pl2, frag * tables.frag_pw2[i, j]),
-                    (tables.frag_pl1, frag * tables.frag_pw1[i, j]),
-                    (N + tables.frag_top, frag)]
+        frag = rate * (1.0 - tables.E_table[i, j]) * d["frag_w"][i, j]
+        streams += [(d["frag_pl2"], frag * d["frag_pw2"][i, j]),
+                    (d["frag_pl1"], frag * d["frag_pw1"][i, j]),
+                    (N + d["frag_top"], frag)]
     out = np.zeros((N, N, 2 * N + 1))
     for dest, w in streams:
         np.add.at(out, (i, j, dest[i, j]), w)
@@ -175,3 +177,53 @@ def test_no_fragment_gain_when_E_is_one(case):
     N = tables.grid.cell_count
     assert not tables.stack[:, 2 * N:-N].any()
     assert not tables.rem_w[2:].any()
+
+
+phis = (st.sampled_from([("power", 0.0), ("power", 1.0)])
+        | st.tuples(st.sampled_from(["capped", "indicator"]),
+                    st.floats(X_MIN, 1e3)))
+
+
+def _dense_zeta(tables, phi_c):
+    """Gain and loss parts of ``zeta_phi`` per pair, from the dense per-pair
+    tables: ``zeta_phi = gain - loss``."""
+    d = dense_deposits(tables)
+    E = tables.E_table
+    phi_at_sum = (d["coag_w1"] * phi_c[d["coag_l1"]]
+                  + d["coag_w2"] * phi_c[d["coag_l2"]])
+    if tables.frag_parent is not None:
+        per = tables.frag_parent @ phi_c
+        phi_frag = per[:, None] + per[None, :]
+    else:
+        pref = tables.frag_prefix @ phi_c
+        phi_frag = d["frag_w"] * (pref[d["frag_top"]]
+                                  + d["frag_pw1"] * phi_c[d["frag_pl1"]]
+                                  + d["frag_pw2"] * phi_c[d["frag_pl2"]])
+    return (E * phi_at_sum + (1.0 - E) * phi_frag,
+            phi_c[:, None] + phi_c[None, :])
+
+
+@SETTINGS
+@given(scenarios(), phis, st.data())
+def test_weak_form_rate_matches_dense_zeta(case, phi_kind, data):
+    tables, density = case
+    g = tables.grid
+    more = data.draw(st.lists(
+        st.lists(nonnegative(1e2), min_size=g.cell_count,
+                 max_size=g.cell_count), min_size=2, max_size=4))
+    densities = np.array([density, *more])
+    dts = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(more),
+                             max_size=len(more)))
+    traj = bc.Trajectory(g, np.cumsum([0.0, *dts]), densities,
+                         clipped_mass=0.0, n_steps=0, n_rejected=0)
+    gain, loss = _dense_zeta(tables, _phi_values(phi_kind, g.centers))
+    # the dense formula 1/2 n^T (zeta_phi o K_table) n, and the size of
+    # its gain and loss terms
+    rate, size = np.array([
+        (0.5 * n @ ((gain - loss) * tables.K_table) @ n,
+         0.5 * n @ (gain * tables.K_table + loss * tables.K_death) @ n)
+        for n in densities * g.widths]).T
+    half_dt = 0.5 * np.diff(traj.times)
+    got = bc.weak_form_residual(traj, tables, phi_kind)["rhs"]
+    assert np.all(np.abs(got - (rate[:-1] + rate[1:]) * half_dt)
+                  <= 1e-12 * (size[:-1] + size[1:]) * half_dt)

@@ -5,30 +5,41 @@ from scipy.integrate import quad
 
 import breakcoag as bc
 from breakcoag.errors import ConfigError
-from breakcoag.solver import _rhs
+from breakcoag.solver import _pair_deposits, _rhs
+
+
+def dense_deposits(tables):
+    """The dense reference: (N, N) per-pair deposit tables ``coag_*`` and,
+    unless the daughter is per-parent, ``frag_*``, for every ordered pair
+    of cell centers."""
+    c = tables.grid.centers
+    return _pair_deposits(tables.grid, tables.daughter, np.add.outer(c, c),
+                          tables.K_table > 0)
 
 
 def _reference_rhs(tables, density):
-    """Slow dense evaluation straight from the full pair tables; the
-    production path uses packed upper-triangle arrays and must agree."""
+    """Slow evaluation straight from the dense per-pair tables; the
+    production path uses the stacked blocks and the packed remainder and
+    must agree."""
     g = tables.grid
     N = g.cell_count
+    d = dense_deposits(tables)
     number = density * g.widths
     R = tables.K_table * np.outer(number, number)
     Rc = 0.5 * tables.E_table * R
     Rb = 0.5 * (1.0 - tables.E_table) * R
     gain = np.zeros(N)
-    np.add.at(gain, tables.coag_l1.ravel(), (Rc * tables.coag_w1).ravel())
-    np.add.at(gain, tables.coag_l2.ravel(), (Rc * tables.coag_w2).ravel())
+    np.add.at(gain, d["coag_l1"].ravel(), (Rc * d["coag_w1"]).ravel())
+    np.add.at(gain, d["coag_l2"].ravel(), (Rc * d["coag_w2"]).ravel())
     if tables.frag_parent is not None:
         gain += (2.0 * Rb.sum(axis=1)) @ tables.frag_parent
     else:
-        Q = Rb * tables.frag_w
+        Q = Rb * d["frag_w"]
         T = np.zeros(N + 1)
-        np.add.at(T, tables.frag_top.ravel(), Q.ravel())
+        np.add.at(T, d["frag_top"].ravel(), Q.ravel())
         gain += T @ tables.frag_prefix
-        np.add.at(gain, tables.frag_pl1.ravel(), (Q * tables.frag_pw1).ravel())
-        np.add.at(gain, tables.frag_pl2.ravel(), (Q * tables.frag_pw2).ravel())
+        np.add.at(gain, d["frag_pl1"].ravel(), (Q * d["frag_pw1"]).ravel())
+        np.add.at(gain, d["frag_pl2"].ravel(), (Q * d["frag_pw2"]).ravel())
     death = density * (tables.K_death @ number)
     return gain / g.widths - death
 
