@@ -15,10 +15,9 @@ from .grid import Grid, InitialCondition, State, make_grid, moment, \
 from .hypotheses import CheckResult, HypothesisReport, check_scenario, \
     coalescence_threshold, threshold_bg, threshold_singular, \
     verify_uniform_integrability
-from .kernels import GrowthClass, KernelSpec, classify_growth, eval_kernel, \
-    truncate_kernel
+from .kernels import GrowthClass, KernelSpec, classify_growth, eval_kernel
 from .solver import OperatorTables, StepControl, Trajectory, apply_rhs, \
-    build_tables, integrate, step, weak_form_residual
+    build_tables, integrate, weak_form_residual
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -163,21 +163,18 @@ def _build_initial(cfg: dict) -> InitialCondition:
 
 
 def _build_control(cfg: dict) -> StepControl:
-    _check_keys(cfg, {"method", "dt", "rtol", "atol", "dt_min", "dt_max",
-                      "t_end", "output_times", "outputs"}, "control")
+    _check_keys(cfg, {"method", "rtol", "atol", "t_end", "output_times",
+                      "outputs"}, "control")
+    if cfg.get("method", "heun") != "heun":
+        raise ConfigError(f"unknown method {cfg['method']!r}: the only "
+                          "integrator is 'heun'")
     t_end = float(_require(cfg, "t_end", "control"))
     if "output_times" in cfg:
         out = tuple(float(s) for s in cfg["output_times"])
     else:
         out = tuple(np.linspace(0.0, t_end, int(cfg.get("outputs", 51))))
-    kwargs = {}
-    for key in ("method", "dt", "rtol", "atol", "dt_min", "dt_max"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    try:
-        return StepControl(t_end=t_end, output_times=out, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    tolerances = {key: cfg[key] for key in ("rtol", "atol") if key in cfg}
+    return StepControl(t_end=t_end, output_times=out, **tolerances)
 
 
 def _apply_override(raw: dict, spec: str):
@@ -197,20 +194,8 @@ def _apply_override(raw: dict, spec: str):
     node[keys[-1]] = parsed
 
 
-def parse_config(path, overrides=()) -> ScenarioConfig:
-    """Load, validate, and freeze a scenario configuration."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    for spec in overrides:
-        _apply_override(raw, spec)
-
+def _build_specs(raw: dict) -> dict:
+    """Validate a raw scenario and build its specs, as ScenarioConfig fields."""
     _check_keys(raw, {"grid", "kernel", "daughter", "prob", "initial",
                       "control", "experiments", "options"}, "config")
     gcfg = _require(raw, "grid", "config")
@@ -235,13 +220,36 @@ def parse_config(path, overrides=()) -> ScenarioConfig:
     if daughter.per_parent and kernel.declared_alpha > 0.0:
         raise ConfigError("per-parent daughter distributions require a "
                           "non-singular kernel (alpha = 0)")
+    return {"grid": grid, "kernel": kernel, "daughter": daughter,
+            "prob": prob, "initial": initial, "control": control,
+            "experiments": experiments, "options": options}
+
+
+def parse_config(path, overrides=()) -> ScenarioConfig:
+    """Load, validate, and freeze a scenario configuration."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        raw = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    for spec in overrides:
+        _apply_override(raw, spec)
+
+    try:
+        specs = _build_specs(raw)
+    except (ConfigError, DataError):
+        raise
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type or form, such as "abc" for a number
+        raise ConfigError(f"malformed config value: {exc}") from exc
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
-    return ScenarioConfig(grid=grid, kernel=kernel, daughter=daughter,
-                          prob=prob, initial=initial, control=control,
-                          experiments=experiments, options=options,
-                          raw=raw, config_hash=digest)
+    return ScenarioConfig(**specs, raw=raw, config_hash=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +321,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     needs_traj = any(e in config.experiments
                      for e in ("run", "gel", "contraction"))
     trajectory = None
-    n_trunc = float(config.options.get("n_trunc") or config.grid.x_max)
+    n_trunc = config.options.get("n_trunc")
+    n_trunc = config.grid.x_max if n_trunc is None else float(n_trunc)
     offgrid_loss = bool(config.options.get("offgrid_loss", False))
     if needs_traj:
         tables = build_tables(config.grid, config.kernel, n_trunc,

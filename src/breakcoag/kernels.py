@@ -1,11 +1,12 @@
-"""Collision kernel families, truncation, and growth-class certification.
+"""Collision kernel families and growth-class certification.
 
 Each family comes with default certified constants (singularity exponent
 alpha, small-volume constant k1, linear-growth constant k2, sub-quadratic
 majorant exponent/coefficient, global linear constant k0).  The classifier
 verifies the corresponding piecewise inequalities on a dense log-uniform
 sample; it certifies declared constants rather than searching for minimal
-ones.
+ones.  The truncated kernel of the simulation is built in
+``solver.build_tables``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "KernelSpec",
     "GrowthClass",
     "eval_kernel",
-    "truncate_kernel",
     "classify_growth",
 ]
 
@@ -191,27 +191,6 @@ def table_lookup(tx, ty, values, x, y):
             + wx * (1 - wy) * values[ix + 1, iy]
             + (1 - wx) * wy * values[ix, iy + 1]
             + wx * wy * values[ix + 1, iy + 1])
-
-
-class TruncatedKernel:
-    """min(level, K(x, y)) when x + y < level, else 0."""
-
-    def __init__(self, spec: KernelSpec, level: float):
-        if level <= 0:
-            raise ConfigError("truncation level must be positive")
-        self.spec = spec
-        self.level = float(level)
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        vals = np.minimum(eval_kernel(self.spec, x, y), self.level)
-        return np.where(x + y < self.level, vals, 0.0)
-
-
-def truncate_kernel(spec: KernelSpec, n: float) -> TruncatedKernel:
-    """Return the truncated evaluator min(n, K) * indicator(x + y < n)."""
-    return TruncatedKernel(spec, n)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ Design notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "Trajectory",
     "build_tables",
     "apply_rhs",
-    "step",
     "integrate",
     "weak_form_residual",
 ]
@@ -198,9 +197,12 @@ def _frag_parent_matrix(daughter: DaughterSpec, grid: Grid) -> np.ndarray:
 def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
                  daughter: DaughterSpec, prob: ProbSpec,
                  offgrid_loss: bool = False) -> OperatorTables:
-    """Precompute the weight blocks and remainder for the truncated system."""
-    if n_trunc > grid.x_max:
-        raise ConfigError("truncation level cannot exceed the grid top")
+    """Precompute the weight blocks and remainder for the truncated system,
+    whose kernel ``K_table`` is ``min(K, n_trunc)`` (uncapped with
+    ``offgrid_loss``) where ``x + y < n_trunc`` and 0 elsewhere."""
+    if not 0 < n_trunc <= grid.x_max:
+        raise ConfigError("truncation level must be positive and at most "
+                          "the grid top")
     if daughter.per_parent and kernel.declared_alpha > 0.0:
         raise ConfigError(
             "per-parent daughter distributions require a non-singular kernel "
@@ -306,28 +308,18 @@ def apply_rhs(tables: OperatorTables, state: State) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Time-integration settings."""
+    """Settings of the adaptive Heun integration."""
 
-    method: str = "heun"              # "heun" (adaptive) or "rk4" (fixed dt)
-    dt: float | None = None           # required for rk4
     rtol: float = 1e-6
     atol: float | None = None         # default: 1e-12 * initial mass scale
-    dt_min: float = 1e-12
-    dt_max: float = np.inf
     t_end: float = 1.0
     output_times: tuple = ()
 
     def __post_init__(self):
-        if self.method not in ("heun", "rk4"):
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.method == "rk4" and (self.dt is None or self.dt <= 0):
-            raise ConfigError("rk4 needs a positive fixed dt")
-        if self.rtol <= 0 or (self.atol is not None and self.atol <= 0):
+        if not self.rtol > 0 or (self.atol is not None and not self.atol > 0):
             raise ConfigError("tolerances must be positive")
-        if not 0 < self.dt_min <= self.dt_max:
-            raise ConfigError("need 0 < dt_min <= dt_max")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
+        if not 0 < self.t_end < np.inf:
+            raise ConfigError("t_end must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -349,6 +341,7 @@ class Trajectory:
 
 
 _CLIP_LIMIT = 1e-10
+_DT_MIN = 1e-12                      # step-size underflow guard
 
 
 def _clip(density: np.ndarray, grid: Grid):
@@ -357,37 +350,13 @@ def _clip(density: np.ndarray, grid: Grid):
     return np.maximum(density, 0.0), clipped
 
 
-def _attempt(tables: OperatorTables, f: np.ndarray, k1: np.ndarray,
-             h: float, method: str):
-    """One trial step from f with slope k1; returns (f_new, error or None)."""
-    if method == "rk4":
-        k2 = _rhs(tables, f + 0.5 * h * k1)
-        k3 = _rhs(tables, f + 0.5 * h * k2)
-        k4 = _rhs(tables, f + h * k3)
-        return f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None
-    f_euler = f + h * k1
-    k2 = _rhs(tables, np.maximum(f_euler, 0.0))
-    f_new = f + 0.5 * h * (k1 + k2)
-    return f_new, np.abs(f_new - f_euler)
-
-
-def step(tables: OperatorTables, state: State, control: StepControl) -> State:
-    """Advance a single accepted time step of size control.dt."""
-    if control.dt is None or control.dt <= 0:
-        raise ConfigError("step needs a positive dt")
-    horizon = replace(control, dt_max=control.dt, output_times=(),
-                      t_end=state.time + control.dt)
-    traj = integrate(tables, state, horizon)
-    return traj.state(len(traj) - 1)
-
-
 def integrate(tables: OperatorTables, state: State,
               control: StepControl) -> Trajectory:
-    """Integrate to t_end, recording the states at the output times.
-
-    Output times must lie in [state.time, t_end]; both ends are always
-    recorded.
-    """
+    """Integrate to t_end with adaptive Heun steps, recording the states at
+    the output times, which must lie in [state.time, t_end] (both ends are
+    always recorded).  A step is accepted when its embedded Euler error is
+    within tolerance and its clipped negative densities hold at most
+    ``_CLIP_LIMIT`` of the mass."""
     g = tables.grid
     f = state.density.astype(float).copy()
     t = float(state.time)
@@ -405,38 +374,27 @@ def integrate(tables: OperatorTables, state: State,
     next_out = 1
     clipped_total = 0.0
     n_steps = n_rejected = 0
-    adaptive = control.method == "heun"
 
-    # slope and death rate at f, kept until f changes
-    k1, death_rate = _rates(tables, f)
-    if adaptive:
-        scale = float(np.max(np.abs(k1))) if f.any() else 0.0
-        dt = min(control.dt_max,
-                 0.01 / scale if scale > 0 else (t_end - t) / 100 or 1.0)
-    else:
-        dt = float(control.dt)
+    k1 = _rhs(tables, f)              # slope at f, kept until f changes
+    scale = float(np.max(np.abs(k1))) if f.any() else 0.0
+    dt = 0.01 / scale if scale > 0 else (t_end - t) / 100 or 1.0
 
     while next_out < out_times.size:
         if k1 is None:
-            k1, death_rate = _rates(tables, f)
+            k1 = _rhs(tables, f)
         target = float(out_times[next_out])
         h = min(dt, target - t)
-        if adaptive:
-            # keep explicit death sub-steps positivity-preserving
-            lam = float(np.max(death_rate))
-            if lam > 0:
-                h = min(h, 0.9 / lam)
-        f_new, err_vec = _attempt(tables, f, k1, h, control.method)
-
-        err = float(np.max(err_vec / (atol + control.rtol * np.abs(f)))) \
-            if adaptive else 0.0
+        f_euler = f + h * k1
+        k2 = _rhs(tables, np.maximum(f_euler, 0.0))
+        f_new = f + 0.5 * h * (k1 + k2)
+        err = float(np.max(np.abs(f_new - f_euler)
+                           / (atol + control.rtol * np.abs(f))))
 
         f_new, clipped = _clip(f_new, g)
         mass_now = float((f_new * g.centers * g.widths).sum())
         clip_ok = clipped <= _CLIP_LIMIT * max(mass_now, atol)
-        accepted = err <= 1.0 and clip_ok
 
-        if accepted:
+        if err <= 1.0 and clip_ok:
             f = f_new
             k1 = None
             t += h
@@ -448,24 +406,18 @@ def integrate(tables: OperatorTables, state: State,
                 next_out += 1
         else:
             n_rejected += 1
-            if not adaptive:
-                raise IntegrationError(
-                    "fixed-step rk4 produced an inadmissible state",
-                    diagnostics={"t": t, "dt": h, "clipped_mass": clipped})
 
-        if adaptive:
-            if err > 1.0:
-                factor = max(0.2, 0.9 / np.sqrt(err))
-            elif not clip_ok:
-                factor = 0.5
-            else:
-                factor = min(2.0, 0.9 / np.sqrt(err) if err > 0 else 2.0)
-            dt = min(control.dt_max, h * factor)
-            if dt < control.dt_min:
-                raise IntegrationError(
-                    "step size underflow",
-                    diagnostics={"t": t, "dt": dt,
-                                 "clipped_mass": clipped_total})
+        if err > 1.0:
+            factor = max(0.2, 0.9 / np.sqrt(err))
+        elif not clip_ok:
+            factor = 0.5
+        else:
+            factor = min(2.0, 0.9 / np.sqrt(err) if err > 0 else 2.0)
+        dt = h * factor
+        if dt < _DT_MIN:
+            raise IntegrationError(
+                "step size underflow",
+                diagnostics={"t": t, "dt": dt, "clipped_mass": clipped_total})
 
     return Trajectory(grid=g, times=out_times,
                       densities=np.asarray(records),

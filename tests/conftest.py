@@ -19,7 +19,7 @@ def linear_scenario():
     prob = bc.ProbSpec.constant(0.5)
     tables = bc.build_tables(grid, kernel, grid.x_max, daughter, prob)
     ic = bc.InitialCondition.exponential(1.0)
-    control = bc.StepControl(method="heun", t_end=5.0,
+    control = bc.StepControl(t_end=5.0,
                              output_times=tuple(np.linspace(0.0, 5.0, 201)))
     traj = bc.integrate(tables, bc.sample_initial(ic, grid), control)
     return {

@@ -30,7 +30,7 @@ def test_criterion_02_constant_kernel_oracle():
                              bc.DaughterSpec.uniform(), bc.ProbSpec.constant(1.0))
     traj = bc.integrate(tables,
                         bc.sample_initial(bc.InitialCondition.exponential(1.0), g),
-                        bc.StepControl(method="heun", t_end=4.0,
+                        bc.StepControl(t_end=4.0,
                                        output_times=(0.0, 1.0, 2.0, 4.0)))
     m0 = traj.densities @ g.widths
     err = float(np.max(np.abs(m0[1:] / (2.0 / (2.0 + traj.times[1:])) - 1.0)))
@@ -45,7 +45,7 @@ def test_criterion_03_gelation_signature():
                              offgrid_loss=True)
     traj = bc.integrate(tables,
                         bc.sample_initial(bc.InitialCondition.exponential(1.0), g),
-                        bc.StepControl(method="heun", t_end=1.0,
+                        bc.StepControl(t_end=1.0,
                                        output_times=tuple(np.linspace(0, 1, 41))))
     series = bc.moment_series(traj, (0.0, 1.0, 2.0))
     t = series.times
@@ -150,7 +150,7 @@ def test_criterion_06_apriori_bounds(linear_scenario):
     g = bc.make_grid(1e-4, 1e3, 300)
     tables = bc.build_tables(g, kernel, g.x_max, daughter, prob)
     traj = bc.integrate(tables, bc.sample_initial(ic, g),
-                        bc.StepControl(method="heun", t_end=2.0,
+                        bc.StepControl(t_end=2.0,
                                        output_times=tuple(np.linspace(0, 2, 9))))
     series_s = bc.moment_series(traj, (-0.5, 0.0, 1.0))
     out_s = bc.check_apriori_bounds(series_s, report_s, rho=1.0, k1=2.0)
@@ -168,7 +168,7 @@ def test_criterion_07_uniqueness_contraction():
     ic = bc.InitialCondition.exponential(1.0)
     tables = bc.build_tables(g, kernel, g.x_max, daughter, prob)
     report = bc.check_scenario(kernel, daughter, prob, ic)
-    ctrl = bc.StepControl(method="heun", t_end=2.0,
+    ctrl = bc.StepControl(t_end=2.0,
                           output_times=tuple(np.linspace(0, 2, 11)))
     res = bc.contraction_experiment(tables, ctrl, ic,
                                     bc.InitialCondition.exponential(1.0,
@@ -224,7 +224,7 @@ def test_criterion_10_truncation_stability(linear_scenario):
                               linear_scenario["prob"])
     traj2 = bc.integrate(tables2,
                          bc.sample_initial(linear_scenario["ic"], g2),
-                         bc.StepControl(method="heun", t_end=2.0,
+                         bc.StepControl(t_end=2.0,
                                         output_times=tuple(times)))
     diffs = []
     for m in (0.0, 1.0):

@@ -119,6 +119,19 @@ class TestMain:
             assert code == 2
             assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("override", [
+        "control.outputs=-1", "control.outputs=abc", "control.t_end=x",
+        "control.output_times=5", "grid.cells=10.5", "initial.rate=a",
+        "control.rtol=NaN", "control.atol=NaN", "control.t_end=1e400",
+        "control.method=euler", "control.dt=0.1",
+        "options.n_trunc=0", "options.n_trunc=-5"])
+    def test_malformed_value_exit_two(self, tmp_path, override):
+        out = tmp_path / "results"
+        code = cli.main(["run", _write(tmp_path, MINIMAL), "--out", str(out),
+                         "--override", override])
+        assert code == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_contraction_gate_failure(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["kernel"] = {"family": "product"}
@@ -261,13 +274,22 @@ class TestCsvWriter:
                 lines[0].removeprefix("# config_hash="))
 
 
+def _readme_block(language):
+    """The first fenced block of the given language in the README."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.search(rf"```{language}\n(.*?)```", readme, re.S).group(1)
+
+
 class TestReadme:
     def test_readme_example_runs(self, tmp_path):
-        readme = (Path(__file__).resolve().parent.parent
-                  / "README.md").read_text()
-        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
         path = tmp_path / "config.json"
-        path.write_text(block)
+        path.write_text(_readme_block("json"))
         code = cli.main(["run", str(path), "--out", str(tmp_path / "out"),
                          "--override", "control.t_end=0.5"])
         assert code == 0
+
+    def test_readme_library_example_runs(self):
+        namespace = {}
+        exec(_readme_block("python"), namespace)
+        series = namespace["series"]
+        assert series.times[-1] == 2.0 and len(series.times) == 21

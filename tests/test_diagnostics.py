@@ -10,7 +10,7 @@ def _run(grid, kernel, prob, daughter=None, t_end=1.0, n_out=5, **kw):
     tables = bc.build_tables(grid, kernel, grid.x_max,
                              daughter or bc.DaughterSpec.uniform(), prob, **kw)
     state = bc.sample_initial(bc.InitialCondition.exponential(1.0), grid)
-    ctrl = bc.StepControl(method="heun", t_end=t_end,
+    ctrl = bc.StepControl(t_end=t_end,
                           output_times=tuple(np.linspace(0, t_end, n_out)))
     return tables, bc.integrate(tables, state, ctrl)
 
@@ -22,7 +22,7 @@ class TestMassConservation:
                             bc.ProbSpec.constant(0.5))
         z = bc.State(grid=small_grid, density=np.zeros(small_grid.cell_count))
         traj = bc.integrate(t, z, bc.StepControl(
-            method="heun", t_end=1.0, output_times=(0.0, 0.5, 1.0)))
+            t_end=1.0, output_times=(0.0, 0.5, 1.0)))
         out = bc.check_mass_conservation(traj, 1e-8)
         assert out["ok"] and out["max_drift"] == 0.0
 
@@ -109,7 +109,7 @@ class TestContraction:
         report = bc.check_scenario(kernel, bc.DaughterSpec.uniform(),
                                    bc.ProbSpec.constant(0.5),
                                    bc.InitialCondition.exponential(1.0))
-        ctrl = bc.StepControl(method="heun", t_end=1.0,
+        ctrl = bc.StepControl(t_end=1.0,
                               output_times=tuple(np.linspace(0, 1, 6)))
         return tables, ctrl, report
 
@@ -136,7 +136,7 @@ class TestContraction:
         report = bc.check_scenario(kernel, bc.DaughterSpec.uniform(),
                                    bc.ProbSpec.constant(0.5),
                                    bc.InitialCondition.exponential(1.0))
-        ctrl = bc.StepControl(method="heun", t_end=0.2,
+        ctrl = bc.StepControl(t_end=0.2,
                               output_times=(0.0, 0.1, 0.2))
         with pytest.raises(ConfigError):
             bc.contraction_experiment(tables, ctrl,
@@ -152,7 +152,7 @@ class TestEquicontinuity:
                             bc.ProbSpec.constant(1.0))
         z = bc.State(grid=small_grid, density=np.zeros(small_grid.cell_count))
         traj = bc.integrate(t, z, bc.StepControl(
-            method="heun", t_end=1.0, output_times=(0.0, 0.5, 1.0)))
+            t_end=1.0, output_times=(0.0, 0.5, 1.0)))
         out = bc.equicontinuity_modulus(traj, alpha=0.0, k1=1.0,
                                         beta_minus_2alpha=2.0, rho=1.0)
         assert out["estimate"] == 0.0 and out["ok"]
@@ -166,7 +166,7 @@ class TestEquicontinuity:
         ests = []
         for n_out in (6, 11):
             traj = bc.integrate(t, state, bc.StepControl(
-                method="heun", t_end=1.0,
+                t_end=1.0,
                 output_times=tuple(np.linspace(0, 1, n_out))))
             out = bc.equicontinuity_modulus(traj, alpha=0.0, k1=1.0,
                                             beta_minus_2alpha=2.0, rho=1.0)
@@ -177,7 +177,7 @@ class TestEquicontinuity:
 
 class TestESweep:
     def test_rows_and_pure_coagulation_limit(self, small_grid):
-        ctrl = bc.StepControl(method="heun", t_end=0.5,
+        ctrl = bc.StepControl(t_end=0.5,
                               output_times=(0.0, 0.25, 0.5))
         rows = bc.e_sweep(small_grid, bc.KernelSpec.constant(1.0),
                           small_grid.x_max, bc.DaughterSpec.uniform(),

@@ -75,22 +75,38 @@ class TestTableKernel:
             bc.KernelSpec.table(x, x, K)
 
 
+def _truncated(kernel, level):
+    """Centers (as a column and a row) and ``build_tables``' truncated
+    kernel ``K_table`` on a small grid that spans the level."""
+    g = bc.make_grid(0.1, 20.0, 40)
+    t = bc.build_tables(g, kernel, level, bc.DaughterSpec.power_total(0.0),
+                        bc.ProbSpec.constant(0.5))
+    return g.centers[:, None], g.centers[None, :], t.K_table
+
+
 class TestTruncateKernel:
     def test_indicator_kills_pair(self):
-        t = bc.truncate_kernel(bc.KernelSpec.constant(2.0), 1.0)
-        assert t(0.6, 0.6) == 0.0
+        x, y, K = _truncated(bc.KernelSpec.constant(2.0), 1.0)
+        cut = x + y >= 1.0
+        assert cut.any() and not cut.all()
+        assert np.array_equal(K, np.where(cut, 0.0, 1.0))
 
     def test_clamp_inactive(self):
-        t = bc.truncate_kernel(bc.KernelSpec.product(), 10.0)
-        assert t(2.0, 2.0) == 4.0
+        x, y, K = _truncated(bc.KernelSpec.product(), 10.0)
+        kept = (x + y < 10.0) & (x * y < 10.0)
+        assert kept.any()
+        assert np.array_equal(K[kept], (x * y)[kept])
 
     def test_clamp_active(self):
-        t = bc.truncate_kernel(bc.KernelSpec.product(), 10.0)
-        assert t(3.0, 4.0) == 10.0
+        x, y, K = _truncated(bc.KernelSpec.product(), 10.0)
+        clamped = (x + y < 10.0) & (x * y > 10.0)
+        assert clamped.any()
+        assert np.all(K[clamped] == 10.0)
 
     def test_bad_n(self):
-        with pytest.raises(ConfigError):
-            bc.truncate_kernel(bc.KernelSpec.product(), 0.0)
+        for level in (0.0, -5.0, np.nan):
+            with pytest.raises(ConfigError):
+                _truncated(bc.KernelSpec.product(), level)
 
 
 class TestClassifyGrowth:

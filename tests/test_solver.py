@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 import breakcoag as bc
 from breakcoag.errors import ConfigError
@@ -158,39 +158,54 @@ class TestStepAndIntegrate:
         t = _tables(small_grid)
         state = bc.State(grid=small_grid,
                          density=np.zeros(small_grid.cell_count))
-        out = bc.step(t, state, bc.StepControl(method="rk4", dt=0.1,
-                                               t_end=0.1))
-        assert_allclose(out.density, 0.0)
+        traj = bc.integrate(t, state, bc.StepControl(t_end=0.1))
+        assert_allclose(traj.densities, 0.0)
 
     def test_constant_kernel_number_oracle(self):
         g = bc.make_grid(1e-4, 1e3, 150)
         t = bc.build_tables(g, bc.KernelSpec.constant(1.0), g.x_max,
                             bc.DaughterSpec.uniform(), bc.ProbSpec.constant(1.0))
-        ctrl = bc.StepControl(method="heun", t_end=2.0,
+        ctrl = bc.StepControl(t_end=2.0,
                               output_times=(0.0, 1.0, 2.0))
         traj = bc.integrate(t, bc.sample_initial(
             bc.InitialCondition.exponential(1.0), g), ctrl)
         m0 = traj.densities @ g.widths
         assert_allclose(m0, 2.0 / (2.0 + traj.times), rtol=1e-2)
 
-    def test_rk4_matches_heun(self, small_grid):
+    def test_heun_matches_dop853(self, small_grid):
         t = _tables(small_grid)
         state = bc.sample_initial(bc.InitialCondition.exponential(1.0),
                                   small_grid)
-        out_t = (0.0, 0.5, 1.0)
         heun = bc.integrate(t, state, bc.StepControl(
-            method="heun", t_end=1.0, output_times=out_t))
-        rk4 = bc.integrate(t, state, bc.StepControl(
-            method="rk4", dt=1e-3, t_end=1.0, output_times=out_t))
-        assert_allclose(heun.densities[-1], rk4.densities[-1],
+            t_end=1.0, output_times=(0.0, 0.5, 1.0)))
+        ref = solve_ivp(lambda _, f: _rhs(t, f), (0.0, 1.0), state.density,
+                        method="DOP853", rtol=1e-12, atol=1e-14)
+        assert ref.success
+        assert_allclose(heun.densities[-1], ref.y[:, -1],
                         rtol=1e-4, atol=1e-10)
+
+    def test_clip_guard_keeps_gelling_run_nonnegative(self):
+        # product kernel with off-grid loss, a gelling run: the step size
+        # has no positivity cap, so error control and the clip guard alone
+        # must keep every density non-negative and clip (almost) no mass
+        g = bc.make_grid(1e-3, 1e4, 60)
+        t = bc.build_tables(g, bc.KernelSpec.product(), g.x_max,
+                            bc.DaughterSpec.uniform(),
+                            bc.ProbSpec.constant(1.0), offgrid_loss=True)
+        state = bc.sample_initial(bc.InitialCondition.exponential(1.0), g)
+        traj = bc.integrate(t, state, bc.StepControl(
+            t_end=1.0, output_times=tuple(np.linspace(0, 1, 41))))
+        m1 = traj.densities @ (g.centers * g.widths)
+        assert np.all(traj.densities >= 0.0)
+        assert traj.clipped_mass <= 1e-10 * m1[0]
+        assert m1[-1] < 0.9 * m1[0]            # the run did gel
 
     def test_mass_conserved_along_heun_run(self, small_grid):
         t = _tables(small_grid)
         state = bc.sample_initial(bc.InitialCondition.exponential(1.0),
                                   small_grid)
         traj = bc.integrate(t, state, bc.StepControl(
-            method="heun", t_end=1.0, output_times=(0.0, 0.5, 1.0)))
+            t_end=1.0, output_times=(0.0, 0.5, 1.0)))
         m1 = traj.densities @ (small_grid.centers * small_grid.widths)
         assert np.max(np.abs(m1 / m1[0] - 1.0)) <= 1e-10
 
@@ -200,21 +215,20 @@ class TestStepAndIntegrate:
                      time=0.5)
         for bad in ((0.4, 0.75), (0.75, 1.0 + 1e-9)):
             with pytest.raises(ConfigError, match="outside the horizon"):
-                bc.integrate(t, z, bc.StepControl(method="heun", t_end=1.0,
+                bc.integrate(t, z, bc.StepControl(t_end=1.0,
                                                   output_times=bad))
         traj = bc.integrate(t, z, bc.StepControl(
-            method="heun", t_end=1.0, output_times=(1.0, 0.5, 0.75)))
+            t_end=1.0, output_times=(1.0, 0.5, 0.75)))
         assert traj.times.tolist() == [0.5, 0.75, 1.0]
 
     def test_control_validation(self):
-        with pytest.raises(ConfigError):
-            bc.StepControl(method="euler")
-        with pytest.raises(ConfigError):
-            bc.StepControl(method="rk4")          # missing dt
-        with pytest.raises(ConfigError):
-            bc.StepControl(method="heun", rtol=-1.0)
-        with pytest.raises(ConfigError):
-            bc.StepControl(method="heun", t_end=0.0)
+        # NaN passes a "<= 0" check and made every step's error NaN, so
+        # the controller rejected steps forever
+        for kwargs in ({"rtol": np.nan}, {"rtol": 0.0}, {"rtol": -1.0},
+                       {"atol": np.nan}, {"atol": 0.0}, {"atol": -1.0},
+                       {"t_end": 0.0}, {"t_end": np.inf}, {"t_end": np.nan}):
+            with pytest.raises(ConfigError):
+                bc.StepControl(**kwargs)
 
 
 class TestWeakFormResidual:
@@ -222,7 +236,7 @@ class TestWeakFormResidual:
         t = _tables(small_grid)
         traj = bc.integrate(t, bc.sample_initial(
             bc.InitialCondition.exponential(1.0), small_grid),
-            bc.StepControl(method="heun", t_end=1.0,
+            bc.StepControl(t_end=1.0,
                            output_times=tuple(np.linspace(0, 1, 6))))
         res = bc.weak_form_residual(traj, t, ("power", 1.0))
         m1 = traj.densities @ (small_grid.centers * small_grid.widths)
@@ -234,7 +248,7 @@ class TestWeakFormResidual:
                             bc.DaughterSpec.uniform(), bc.ProbSpec.constant(1.0))
         traj = bc.integrate(t, bc.sample_initial(
             bc.InitialCondition.exponential(1.0), g),
-            bc.StepControl(method="heun", t_end=1.0,
+            bc.StepControl(t_end=1.0,
                            output_times=tuple(np.linspace(0, 1, 41))))
         res = bc.weak_form_residual(traj, t, ("power", 0.0))
         assert np.max(res["relative"]) <= 1e-3
@@ -243,7 +257,7 @@ class TestWeakFormResidual:
         t = _tables(small_grid)
         z = bc.State(grid=small_grid, density=np.zeros(small_grid.cell_count))
         traj = bc.integrate(t, z, bc.StepControl(
-            method="heun", t_end=0.5, output_times=(0.0, 0.25, 0.5)))
+            t_end=0.5, output_times=(0.0, 0.25, 0.5)))
         res = bc.weak_form_residual(traj, t, ("indicator", 1.0))
         assert_allclose(res["absolute"], 0.0)
         assert_allclose(res["relative"], 0.0)
