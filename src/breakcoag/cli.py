@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,7 @@ _EXPERIMENTS = ("run", "verify", "contraction", "gel", "sweep", "dlvp")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: constructed specs plus the raw dictionary."""
+    """Validated scenario: the constructed specs and converted options."""
 
     grid: Grid
     kernel: KernelSpec
@@ -44,7 +46,6 @@ class ScenarioConfig:
     control: StepControl
     experiments: tuple
     options: dict
-    raw: dict
     config_hash: str
 
 
@@ -60,36 +61,41 @@ def _check_keys(mapping: dict, allowed, context: str):
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
 
 
-def _build_kernel(cfg: dict) -> KernelSpec:
-    family = _require(cfg, "family", "kernel")
-    if family == "smoluchowski":
-        _check_keys(cfg, {"family"}, "kernel")
-        return KernelSpec.smoluchowski()
-    if family == "sum_product":
-        _check_keys(cfg, {"family", "zeta", "eta"}, "kernel")
-        return KernelSpec.sum_product(_require(cfg, "zeta", "kernel"),
-                                      _require(cfg, "eta", "kernel"))
-    if family == "bg_ratio":
-        _check_keys(cfg, {"family", "sigma", "eta"}, "kernel")
-        return KernelSpec.bg_ratio(_require(cfg, "sigma", "kernel"),
-                                   _require(cfg, "eta", "kernel"))
-    if family == "product":
-        _check_keys(cfg, {"family"}, "kernel")
-        return KernelSpec.product()
-    if family == "additive":
-        _check_keys(cfg, {"family"}, "kernel")
-        return KernelSpec.additive()
-    if family == "constant":
-        _check_keys(cfg, {"family", "c"}, "kernel")
-        return KernelSpec.constant(cfg.get("c", 1.0))
-    if family == "table":
-        _check_keys(cfg, {"family", "path", "declared_alpha", "declared_k1"},
-                    "kernel")
-        x, y, K = _read_kernel_csv(_require(cfg, "path", "kernel"))
-        return KernelSpec.table(x, y, K,
-                                declared_alpha=cfg.get("declared_alpha", 0.0),
-                                declared_k1=cfg.get("declared_k1"))
-    raise ConfigError(f"unknown kernel family {family!r}")
+def _call(build, cfg: dict, section: str):
+    """Call ``build`` with the keys of one config section.
+
+    The signature of ``build`` is the section's schema: its parameters are
+    the allowed keys, those without a default are required, and each
+    default is stated only there.
+    """
+    params = inspect.signature(build).parameters
+    _check_keys(cfg, params, section)
+    for key, param in params.items():
+        if param.default is param.empty:
+            _require(cfg, key, section)
+    return build(**cfg)
+
+
+def _build(section: str, cfg: dict, builders: dict, tag: str = "family"):
+    """Build a section whose ``tag`` key names its constructor in
+    ``builders``; the other keys are the constructor's arguments."""
+    name = _require(cfg, tag, section)
+    if name not in builders:
+        raise ConfigError(f"unknown {section} {tag} {name!r}")
+    args = {key: value for key, value in cfg.items() if key != tag}
+    return _call(builders[name], args, section)
+
+
+def _from_file(read, build):
+    """``build`` configured by a ``path`` key: ``read(path)`` supplies the
+    parameters of ``build`` that have no default, the config the others."""
+    def from_file(path, **kwargs):
+        return build(*read(path), **kwargs)
+    params = inspect.signature(build).parameters.values()
+    from_file.__signature__ = inspect.Signature(
+        [inspect.Parameter("path", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
+        + [p for p in params if p.default is not p.empty])
+    return from_file
 
 
 def _read_kernel_csv(path):
@@ -113,53 +119,40 @@ def _read_kernel_csv(path):
     return x, y, K
 
 
-def _build_daughter(cfg: dict) -> DaughterSpec:
-    family = _require(cfg, "family", "daughter")
-    if family == "uniform":
-        _check_keys(cfg, {"family"}, "daughter")
-        return DaughterSpec.uniform()
-    _check_keys(cfg, {"family", "nu"}, "daughter")
-    nu = _require(cfg, "nu", "daughter")
-    if family == "power_total":
-        return DaughterSpec.power_total(nu)
-    if family == "power_each":
-        return DaughterSpec.power_each(nu)
-    raise ConfigError(f"unknown daughter family {family!r}")
+# each family's name is the name of its constructor; the two families
+# that read a file take a ``path`` in place of the arrays
+_KERNELS = {name: getattr(KernelSpec, name) for name in (
+    "smoluchowski", "sum_product", "bg_ratio", "product", "additive",
+    "constant")} | {"table": _from_file(_read_kernel_csv, KernelSpec.table)}
+_DAUGHTERS = {name: getattr(DaughterSpec, name)
+              for name in ("uniform", "power_total", "power_each")}
+_PROBS = {name: getattr(ProbSpec, name)
+          for name in ("constant", "small_volume_floor")}
+_INITIALS = {name: getattr(InitialCondition, name)
+             for name in ("exponential", "power_cutoff", "point_mass")} | {
+    # unlike the library, the config rescales a tabulated profile to mass 1
+    "tabulated": _from_file(read_tabulated_csv,
+                            partial(InitialCondition.tabulated, mass=1.0))}
 
 
-def _build_prob(cfg: dict) -> ProbSpec:
-    form = _require(cfg, "form", "prob")
-    if form == "constant":
-        _check_keys(cfg, {"form", "value"}, "prob")
-        return ProbSpec.constant(_require(cfg, "value", "prob"))
-    if form == "small_volume_floor":
-        _check_keys(cfg, {"form", "E_small", "E_large", "cut"}, "prob")
-        return ProbSpec.small_volume_floor(
-            _require(cfg, "E_small", "prob"), _require(cfg, "E_large", "prob"),
-            cfg.get("cut", 1.0))
-    raise ConfigError(f"unknown probability form {form!r}")
+def _options(n_trunc=None, offgrid_loss=False, mass_tol=1e-8,
+             moment_orders=None, gel_threshold=0.01, theta=0.5,
+             perturbation=1.01, sweep_E=(0.0, 0.25, 0.5, 0.75, 1.0)) -> dict:
+    """The top-level ``options``, converted to the types they are used as.
 
-
-def _build_initial(cfg: dict) -> InitialCondition:
-    family = _require(cfg, "family", "initial")
-    mass = cfg.get("mass", 1.0)
-    if family == "exponential":
-        _check_keys(cfg, {"family", "rate", "mass"}, "initial")
-        return InitialCondition.exponential(cfg.get("rate", 1.0), mass)
-    if family == "power_cutoff":
-        _check_keys(cfg, {"family", "p", "x_c", "mass"}, "initial")
-        return InitialCondition.power_cutoff(_require(cfg, "p", "initial"),
-                                             _require(cfg, "x_c", "initial"),
-                                             mass)
-    if family == "point_mass":
-        _check_keys(cfg, {"family", "x0", "w", "mass"}, "initial")
-        return InitialCondition.point_mass(_require(cfg, "x0", "initial"),
-                                           _require(cfg, "w", "initial"), mass)
-    if family == "tabulated":
-        _check_keys(cfg, {"family", "path", "mass"}, "initial")
-        x, f = read_tabulated_csv(_require(cfg, "path", "initial"))
-        return InitialCondition.tabulated(x, f, mass)
-    raise ConfigError(f"unknown initial family {family!r}")
+    ``n_trunc`` None stands for ``x_max``, and ``moment_orders`` None for
+    the orders -2 alpha, -alpha, 0, 1, 2 of the kernel's exponent alpha.
+    """
+    if not isinstance(offgrid_loss, bool):
+        raise ConfigError("offgrid_loss in options must be true or false, "
+                          f"got {offgrid_loss!r}")
+    return {"n_trunc": None if n_trunc is None else float(n_trunc),
+            "moment_orders": None if moment_orders is None
+            else [float(m) for m in moment_orders],
+            "offgrid_loss": offgrid_loss, "mass_tol": float(mass_tol),
+            "gel_threshold": float(gel_threshold), "theta": float(theta),
+            "perturbation": float(perturbation),
+            "sweep_E": [float(v) for v in sweep_E]}
 
 
 def _build_control(cfg: dict) -> StepControl:
@@ -168,13 +161,18 @@ def _build_control(cfg: dict) -> StepControl:
     if cfg.get("method", "heun") != "heun":
         raise ConfigError(f"unknown method {cfg['method']!r}: the only "
                           "integrator is 'heun'")
-    t_end = float(_require(cfg, "t_end", "control"))
+    tolerances = {key: cfg[key] for key in ("rtol", "atol") if key in cfg}
+    control = StepControl(t_end=float(_require(cfg, "t_end", "control")),
+                          **tolerances)
     if "output_times" in cfg:
         out = tuple(float(s) for s in cfg["output_times"])
     else:
-        out = tuple(np.linspace(0.0, t_end, int(cfg.get("outputs", 51))))
-    tolerances = {key: cfg[key] for key in ("rtol", "atol") if key in cfg}
-    return StepControl(t_end=t_end, output_times=out, **tolerances)
+        n = cfg.get("outputs", 51)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+            raise ConfigError("outputs in control must be an integer >= 2, "
+                              f"got {n!r}")
+        out = tuple(np.linspace(0.0, control.t_end, n))
+    return replace(control, output_times=out)
 
 
 def _apply_override(raw: dict, spec: str):
@@ -198,25 +196,19 @@ def _build_specs(raw: dict) -> dict:
     """Validate a raw scenario and build its specs, as ScenarioConfig fields."""
     _check_keys(raw, {"grid", "kernel", "daughter", "prob", "initial",
                       "control", "experiments", "options"}, "config")
-    gcfg = _require(raw, "grid", "config")
-    _check_keys(gcfg, {"x_min", "x_max", "cells"}, "grid")
-    grid = make_grid(_require(gcfg, "x_min", "grid"),
-                     _require(gcfg, "x_max", "grid"),
-                     _require(gcfg, "cells", "grid"))
-    kernel = _build_kernel(_require(raw, "kernel", "config"))
-    daughter = _build_daughter(_require(raw, "daughter", "config"))
-    prob = _build_prob(_require(raw, "prob", "config"))
-    initial = _build_initial(_require(raw, "initial", "config"))
+    grid = _call(make_grid, _require(raw, "grid", "config"), "grid")
+    kernel = _build("kernel", _require(raw, "kernel", "config"), _KERNELS)
+    daughter = _build("daughter", _require(raw, "daughter", "config"),
+                      _DAUGHTERS)
+    prob = _build("prob", _require(raw, "prob", "config"), _PROBS, tag="form")
+    initial = _build("initial", _require(raw, "initial", "config"), _INITIALS)
     control = _build_control(_require(raw, "control", "config"))
 
     experiments = tuple(raw.get("experiments", ["run", "verify"]))
     for e in experiments:
         if e not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {e!r}")
-    options = dict(raw.get("options", {}))
-    _check_keys(options, {"n_trunc", "offgrid_loss", "mass_tol",
-                          "moment_orders", "gel_threshold", "theta",
-                          "perturbation", "sweep_E"}, "options")
+    options = _call(_options, raw.get("options", {}), "options")
     if daughter.per_parent and kernel.declared_alpha > 0.0:
         raise ConfigError("per-parent daughter distributions require a "
                           "non-singular kernel (alpha = 0)")
@@ -249,7 +241,7 @@ def parse_config(path, overrides=()) -> ScenarioConfig:
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
-    return ScenarioConfig(**specs, raw=raw, config_hash=digest)
+    return ScenarioConfig(**specs, config_hash=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +295,8 @@ def _jsonify(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if obj is None or obj != obj:
-        return None
-    return str(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> int:
@@ -321,25 +312,26 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     needs_traj = any(e in config.experiments
                      for e in ("run", "gel", "contraction"))
     trajectory = None
-    n_trunc = config.options.get("n_trunc")
-    n_trunc = config.grid.x_max if n_trunc is None else float(n_trunc)
-    offgrid_loss = bool(config.options.get("offgrid_loss", False))
+    opts = config.options
+    n_trunc = config.grid.x_max if opts["n_trunc"] is None \
+        else opts["n_trunc"]
     if needs_traj:
         tables = build_tables(config.grid, config.kernel, n_trunc,
                               config.daughter, config.prob,
-                              offgrid_loss=offgrid_loss)
+                              offgrid_loss=opts["offgrid_loss"])
         state0 = sample_initial(config.initial, config.grid)
         trajectory = integrate(tables, state0, config.control)
 
         alpha = config.kernel.declared_alpha
-        orders = config.options.get("moment_orders",
-                                    [-2.0 * alpha, -alpha, 0.0, 1.0, 2.0])
-        orders = sorted(set(float(m) for m in orders) | {0.0, 1.0})
+        orders = opts["moment_orders"]
+        if orders is None:
+            orders = [-2.0 * alpha, -alpha, 0.0, 1.0, 2.0]
+        orders = sorted(set(orders) | {0.0, 1.0})
         series = moment_series(trajectory, orders)
 
     results = {}
     if "run" in config.experiments:
-        tol = float(config.options.get("mass_tol", 1e-8))
+        tol = opts["mass_tol"]
         mass = check_mass_conservation(trajectory, tol)
         conserving = (report.checks["p2"].status == "pass"
                       or report.checks["p400"].status == "pass")
@@ -356,14 +348,13 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
                 failures.append(f"a priori bound {name} violated")
 
     if "gel" in config.experiments:
-        threshold = float(config.options.get("gel_threshold", 0.01))
+        threshold = opts["gel_threshold"]
         onset = detect_gelation(series, threshold)
         results["gelation"] = {"threshold": threshold, "onset": onset}
 
     if "contraction" in config.experiments:
         try:
-            factor = float(config.options.get("perturbation", 1.01))
-            ic_g = _scaled_initial(config.initial, factor)
+            ic_g = _scaled_initial(config.initial, opts["perturbation"])
             res = contraction_experiment(tables, config.control,
                                          config.initial, ic_g, report,
                                          config.kernel.declared_k1)
@@ -376,19 +367,18 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
             failures.append("contraction envelope violated")
 
     if "sweep" in config.experiments:
-        values = config.options.get("sweep_E", [0.0, 0.25, 0.5, 0.75, 1.0])
         results["e_sweep"] = e_sweep(
             config.grid, config.kernel, n_trunc, config.daughter,
-            config.initial, config.control, values,
-            config.kernel.declared_alpha, offgrid_loss)
+            config.initial, config.control, opts["sweep_E"],
+            config.kernel.declared_alpha, opts["offgrid_loss"])
 
     if "dlvp" in config.experiments:
-        theta = float(config.options.get("theta", 0.5))
         xs = np.geomspace(config.grid.x_min, config.grid.x_max, 4000)
         hs = sample_initial(config.initial,
                             make_grid(config.grid.x_min, config.grid.x_max,
                                       3999)).density
-        pc = build_phi(np.sqrt(xs[:-1] * xs[1:]), hs, theta, extrapolate=True)
+        pc = build_phi(np.sqrt(xs[:-1] * xs[1:]), hs, opts["theta"],
+                       extrapolate=True)
         rep = verify_dlvp(pc, np.sqrt(xs[:-1] * xs[1:]), hs)
         results["dlvp"] = {"j_seq": pc.j_seq, "ok": rep["ok"]}
         if not rep["ok"]:

@@ -133,7 +133,7 @@ class InitialCondition:
     mass: float | None = 1.0
 
     @classmethod
-    def exponential(cls, rate: float, mass: float = 1.0) -> "InitialCondition":
+    def exponential(cls, rate: float = 1.0, mass: float = 1.0) -> "InitialCondition":
         if rate <= 0:
             raise ConfigError("exponential rate must be positive")
         return cls("exponential", {"rate": float(rate)}, mass)

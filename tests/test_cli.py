@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import breakcoag.cli as cli
+from breakcoag import DaughterSpec, InitialCondition, KernelSpec, ProbSpec
 from breakcoag.errors import ConfigError
 
 
@@ -52,6 +55,38 @@ class TestParseConfig:
         bad["grid"]["spacing"] = "log"
         with pytest.raises(ConfigError, match="spacing"):
             cli.parse_config(_write(tmp_path, bad))
+
+    @pytest.mark.parametrize("section", [
+        "grid", "kernel", "daughter", "prob", "initial", "control",
+        "options"])
+    def test_unknown_key_named(self, tmp_path, section):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg.setdefault(section, {})["bogus"] = 1
+        with pytest.raises(ConfigError, match="unknown keys in "
+                           f"{section}: \\['bogus'\\]"):
+            cli.parse_config(_write(tmp_path, cfg))
+
+    @pytest.mark.parametrize("section,value,key", [
+        ("grid", {"x_min": 1e-3, "cells": 80}, "x_max"),
+        ("kernel", {"c": 1.0}, "family"),
+        ("kernel", {"family": "sum_product", "zeta": 0.0}, "eta"),
+        ("kernel", {"family": "table"}, "path"),
+        ("daughter", {"family": "power_total"}, "nu"),
+        ("prob", {"value": 0.5}, "form"),
+        ("prob", {"form": "small_volume_floor", "E_small": 0.5}, "E_large"),
+        ("initial", {"family": "power_cutoff", "p": 0.0}, "x_c"),
+        ("initial", {"family": "tabulated"}, "path"),
+        ("control", {"outputs": 6}, "t_end"),
+        ("config", None, "grid")])
+    def test_missing_key_named(self, tmp_path, section, value, key):
+        cfg = json.loads(json.dumps(MINIMAL))
+        if value is None:
+            del cfg[key]
+        else:
+            cfg[section] = value
+        with pytest.raises(ConfigError, match="missing required key "
+                           f"'{key}' in {section}"):
+            cli.parse_config(_write(tmp_path, cfg))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -124,7 +159,11 @@ class TestMain:
         "control.output_times=5", "grid.cells=10.5", "initial.rate=a",
         "control.rtol=NaN", "control.atol=NaN", "control.t_end=1e400",
         "control.method=euler", "control.dt=0.1",
-        "options.n_trunc=0", "options.n_trunc=-5"])
+        "control.outputs=3.7", "control.outputs=1", "control.outputs=true",
+        "options.n_trunc=0", "options.n_trunc=-5", "options.n_trunc=abc",
+        "options.mass_tol=x", "options.moment_orders=5", "options.sweep_E=3",
+        "options.offgrid_loss=maybe", "options.theta=abc",
+        "options.perturbation=x", "options.gel_threshold=x"])
     def test_malformed_value_exit_two(self, tmp_path, override):
         out = tmp_path / "results"
         code = cli.main(["run", _write(tmp_path, MINIMAL), "--out", str(out),
@@ -293,3 +332,96 @@ class TestReadme:
         exec(_readme_block("python"), namespace)
         series = namespace["series"]
         assert series.times[-1] == 2.0 and len(series.times) == 21
+
+
+def _assert_same_spec(a, b):
+    """Field-by-field equality of two spec records, arrays included."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, dict):
+            assert va.keys() == vb.keys()
+            for key in va:
+                np.testing.assert_array_equal(va[key], vb[key])
+        else:
+            assert va == vb, f.name
+
+
+# Each family from only its required keys, and the library call that
+# must give the same spec. The file-backed families read tmp_path.
+_FAMILIES = [
+    ("kernel", {"family": "smoluchowski"}, lambda: KernelSpec.smoluchowski()),
+    ("kernel", {"family": "sum_product", "zeta": 0.0, "eta": 1.0},
+     lambda: KernelSpec.sum_product(0.0, 1.0)),
+    ("kernel", {"family": "bg_ratio", "sigma": 0.5, "eta": 0.25},
+     lambda: KernelSpec.bg_ratio(0.5, 0.25)),
+    ("kernel", {"family": "product"}, lambda: KernelSpec.product()),
+    ("kernel", {"family": "additive"}, lambda: KernelSpec.additive()),
+    ("kernel", {"family": "constant"}, lambda: KernelSpec.constant()),
+    ("kernel", {"family": "table", "path": "kernel.csv"},
+     lambda: KernelSpec.table(_AXIS, _AXIS, _KERNEL_TABLE)),
+    ("daughter", {"family": "uniform"}, lambda: DaughterSpec.uniform()),
+    ("daughter", {"family": "power_total", "nu": 0.5},
+     lambda: DaughterSpec.power_total(0.5)),
+    ("daughter", {"family": "power_each", "nu": 0.5},
+     lambda: DaughterSpec.power_each(0.5)),
+    ("prob", {"form": "constant", "value": 0.5},
+     lambda: ProbSpec.constant(0.5)),
+    ("prob", {"form": "small_volume_floor", "E_small": 0.6, "E_large": 0.2},
+     lambda: ProbSpec.small_volume_floor(0.6, 0.2)),
+    ("initial", {"family": "exponential"},
+     lambda: InitialCondition.exponential()),
+    ("initial", {"family": "power_cutoff", "p": 0.5, "x_c": 2.0},
+     lambda: InitialCondition.power_cutoff(0.5, 2.0)),
+    ("initial", {"family": "point_mass", "x0": 1.0, "w": 0.1},
+     lambda: InitialCondition.point_mass(1.0, 0.1)),
+    # the one default the config adds: a tabulated profile gets mass 1
+    ("initial", {"family": "tabulated", "path": "initial.csv"},
+     lambda: InitialCondition.tabulated(_AXIS, [1.0, 0.5, 0.1], mass=1.0)),
+]
+_AXIS = [0.1, 1.0, 10.0]
+_KERNEL_TABLE = np.add.outer(_AXIS, _AXIS).tolist()
+
+
+class TestSchema:
+    @pytest.mark.parametrize("section,spec,expected", _FAMILIES,
+                             ids=[f"{s}-{c.get('family', c.get('form'))}"
+                                  for s, c, _ in _FAMILIES])
+    def test_required_keys_give_library_defaults(self, tmp_path, monkeypatch,
+                                                  section, spec, expected):
+        monkeypatch.chdir(tmp_path)
+        rows = [f"{_AXIS[i]!r},{_AXIS[j]!r},{_KERNEL_TABLE[i][j]!r}"
+                for i, j in np.ndindex(3, 3)]
+        (tmp_path / "kernel.csv").write_text("x,y,K\n" + "\n".join(rows))
+        (tmp_path / "initial.csv").write_text("x,f\n0.1,1.0\n1.0,0.5\n10.0,0.1\n")
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg[section] = spec
+        built = cli.parse_config(_write(tmp_path, cfg))
+        _assert_same_spec(getattr(built, section), expected())
+
+    def test_families_covered(self):
+        tables = {"kernel": cli._KERNELS, "daughter": cli._DAUGHTERS,
+                  "prob": cli._PROBS, "initial": cli._INITIALS}
+        covered = {(s, c.get("family", c.get("form"))) for s, c, _ in _FAMILIES}
+        assert covered == {(s, name) for s, table in tables.items()
+                           for name in table}
+
+    def test_readme_names_every_family_key_and_option(self):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        names = set(inspect.signature(cli._options).parameters)
+        for table in (cli._KERNELS, cli._DAUGHTERS, cli._PROBS,
+                      cli._INITIALS):
+            for name, build in table.items():
+                names |= {name, *inspect.signature(build).parameters}
+        missing = sorted(n for n in names if f"`{n}`" not in readme)
+        assert not missing
+
+    def test_options_converted_at_parse(self, tmp_path):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["options"] = {"mass_tol": 1, "moment_orders": [3], "sweep_E": [1]}
+        opts = cli.parse_config(_write(tmp_path, cfg)).options
+        assert opts["mass_tol"] == 1.0 and type(opts["mass_tol"]) is float
+        assert opts["moment_orders"] == [3.0] and opts["sweep_E"] == [1.0]
+        assert opts["n_trunc"] is None and opts["offgrid_loss"] is False
+        assert opts["theta"] == 0.5
