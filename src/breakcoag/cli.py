@@ -158,9 +158,11 @@ def _options(n_trunc=None, offgrid_loss=False, mass_tol=1e-8,
 def _build_control(cfg: dict) -> StepControl:
     _check_keys(cfg, {"method", "rtol", "atol", "t_end", "output_times",
                       "outputs"}, "control")
-    if cfg.get("method", "heun") != "heun":
+    # "heun", the name of the integrator dopri5 replaced, stays accepted
+    # as a legacy name: existing configs send it
+    if cfg.get("method", "dopri5") not in ("dopri5", "heun"):
         raise ConfigError(f"unknown method {cfg['method']!r}: the only "
-                          "integrator is 'heun'")
+                          "integrator is 'dopri5'")
     tolerances = {key: cfg[key] for key in ("rtol", "atol") if key in cfg}
     control = StepControl(t_end=float(_require(cfg, "t_end", "control")),
                           **tolerances)

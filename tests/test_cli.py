@@ -181,6 +181,33 @@ class TestMain:
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
 
+    def test_table_kernel_on_its_own_box_runs(self, tmp_path):
+        # the growth check samples (1e-4, 1e4)^2 by default; a table that
+        # covers only the grid's range must be sampled inside its box
+        axis = np.geomspace(1e-3, 1e2, 6)
+        rows = [f"{x!r},{y!r},{x + y!r}" for x in axis.tolist()
+                for y in axis.tolist()]
+        (tmp_path / "kernel.csv").write_text("x,y,K\n" + "\n".join(rows))
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"] = {"x_min": 1e-3, "x_max": 1e2, "cells": 30}
+        cfg["kernel"] = {"family": "table",
+                         "path": str(tmp_path / "kernel.csv")}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        assert (out / "moments.csv").is_file()
+        assert (out / "trajectory_0005.csv").is_file()
+
+    def test_method_names_one_integrator(self, tmp_path):
+        # "heun" is the legacy name of the one integrator, "dopri5"
+        outs = []
+        for method in ("dopri5", "heun"):
+            out = tmp_path / method
+            assert cli.main(["run", _write(tmp_path, MINIMAL), "--out",
+                             str(out), "--override",
+                             f"control.method={method}"]) == 0
+            outs.append((out / "moments.csv").read_text().splitlines()[1:])
+        assert outs[0] == outs[1]
+
     def test_gel_experiment_reports_loss(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["grid"] = {"x_min": 1e-2, "x_max": 1e3, "cells": 100}

@@ -188,3 +188,20 @@ class TestESweep:
             assert r["mass_drift"] <= 1e-10
         # more coalescence, fewer particles
         assert rows[2]["M0_ratio"] < rows[0]["M0_ratio"]
+
+    def test_mass_drift_is_check_mass_conservation(self):
+        # one drift computation: the sweep's row reports exactly what the
+        # run experiment reports for the same trajectory
+        g = bc.make_grid(1e-4, 1e3, 40)
+        kernel = bc.KernelSpec.sum_product(-0.25, 0.5)
+        daughter = bc.DaughterSpec.power_total(0.0)
+        ic = bc.InitialCondition.exponential(1.0)
+        ctrl = bc.StepControl(t_end=0.12,
+                              output_times=tuple(np.linspace(0, 0.12, 11)))
+        row, = bc.e_sweep(g, kernel, g.x_max, daughter, ic, ctrl,
+                          E_values=(0.5,), alpha=0.25)
+        tables = bc.build_tables(g, kernel, g.x_max, daughter,
+                                 bc.ProbSpec.constant(0.5))
+        traj = bc.integrate(tables, bc.sample_initial(ic, g), ctrl)
+        assert row["mass_drift"] == bc.check_mass_conservation(
+            traj, 1e-8)["max_drift"]

@@ -1,7 +1,7 @@
 """Property tests of the discrete operator on every table path: random
 grid sizes, truncation levels, kernel families, daughter laws,
 coalescence probabilities and non-negative states; and of the weak-form
-residual that reads it.
+residual that reads it and the integration that steps it.
 """
 
 import numpy as np
@@ -227,3 +227,22 @@ def test_weak_form_rate_matches_dense_zeta(case, phi_kind, data):
     got = bc.weak_form_residual(traj, tables, phi_kind)["rhs"]
     assert np.all(np.abs(got - (rate[:-1] + rate[1:]) * half_dt)
                   <= 1e-12 * (size[:-1] + size[1:]) * half_dt)
+
+
+@SETTINGS
+@given(scenarios())
+def test_integrate_keeps_positivity_and_mass(case):
+    tables, density = case
+    g = tables.grid
+    mass = g.centers * g.widths
+    # scaled to collision rates <= 1, so a horizon of 0.5 is short on the
+    # scenario's own time scale and far above the step underflow guard
+    rate = np.max(tables.K_death @ (density * g.widths), initial=0.0)
+    density = density / max(rate, 1.0)
+    traj = bc.integrate(tables, bc.State(g, density), bc.StepControl(
+        t_end=0.5, output_times=tuple(np.linspace(0.0, 0.5, 6))))
+    m1 = traj.densities @ mass
+    assert np.all(traj.densities >= 0.0)
+    assert traj.clipped_mass <= 1e-15 * m1[0] * traj.n_steps
+    if not tables.offgrid_loss and m1[0] > 0:
+        assert np.max(np.abs(m1 / m1[0] - 1.0)) <= 2e-15 * (traj.n_steps + 1)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import RK45, quad, solve_ivp
 
 import breakcoag as bc
 from breakcoag.errors import ConfigError
-from breakcoag.solver import _pair_deposits, _rhs
+from breakcoag.solver import _DP_A, _DP_E, _DP_P, _pair_deposits, _rhs
 
 
 def dense_deposits(tables):
@@ -172,17 +172,55 @@ class TestStepAndIntegrate:
         m0 = traj.densities @ g.widths
         assert_allclose(m0, 2.0 / (2.0 + traj.times), rtol=1e-2)
 
-    def test_heun_matches_dop853(self, small_grid):
+    def test_integrate_matches_dop853(self, small_grid):
         t = _tables(small_grid)
         state = bc.sample_initial(bc.InitialCondition.exponential(1.0),
                                   small_grid)
-        heun = bc.integrate(t, state, bc.StepControl(
+        traj = bc.integrate(t, state, bc.StepControl(
             t_end=1.0, output_times=(0.0, 0.5, 1.0)))
         ref = solve_ivp(lambda _, f: _rhs(t, f), (0.0, 1.0), state.density,
                         method="DOP853", rtol=1e-12, atol=1e-14)
         assert ref.success
-        assert_allclose(heun.densities[-1], ref.y[:, -1],
+        assert_allclose(traj.densities[-1], ref.y[:, -1],
                         rtol=1e-4, atol=1e-10)
+
+    def test_tableau_matches_scipy_rk45(self):
+        # scipy's E is the 4th- minus the 5th-order weights
+        for i in range(1, 6):
+            assert np.array_equal(_DP_A[i], RK45.A[i, :i])
+        assert np.array_equal(_DP_A[6], RK45.B)
+        assert np.array_equal(_DP_E, -RK45.E)
+        assert np.array_equal(_DP_P, RK45.P)
+
+    def test_steps_do_not_depend_on_output_times(self, small_grid):
+        t = _tables(small_grid)
+        state = bc.sample_initial(bc.InitialCondition.exponential(1.0),
+                                  small_grid)
+        few, many = (bc.integrate(t, state, bc.StepControl(
+            t_end=1.0, output_times=tuple(np.linspace(0.0, 1.0, n))))
+            for n in (2, 201))
+        assert len(few) == 2 and len(many) == 201
+        assert (few.n_steps, few.n_rejected) == (many.n_steps,
+                                                 many.n_rejected)
+        assert np.array_equal(few.densities[-1], many.densities[-1])
+
+    def test_dense_output_matches_dop853(self, small_grid):
+        t = _tables(small_grid)
+        state = bc.sample_initial(bc.InitialCondition.exponential(1.0),
+                                  small_grid)
+        control = bc.StepControl(t_end=1.0,
+                                 output_times=tuple(np.linspace(0, 1, 41)))
+        traj = bc.integrate(t, state, control)
+        assert traj.n_steps < len(traj) - 1     # most outputs interpolated
+        ref = solve_ivp(lambda _, f: _rhs(t, f), (0.0, 1.0), state.density,
+                        method="DOP853", rtol=1e-12, atol=1e-14,
+                        t_eval=traj.times)
+        assert ref.success
+        m1 = traj.densities @ (small_grid.centers * small_grid.widths)
+        atol = 1e-12 * max(m1[0], 1.0)          # the integrator's default
+        assert np.all(np.abs(traj.densities - ref.y.T)
+                      <= atol + control.rtol * np.abs(ref.y.T))
+        assert np.max(np.abs(m1 / m1[0] - 1.0)) <= 1e-13
 
     def test_clip_guard_keeps_gelling_run_nonnegative(self):
         # product kernel with off-grid loss, a gelling run: the step size
