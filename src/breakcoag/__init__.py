@@ -13,9 +13,9 @@ from .errors import ConfigError, DataError, DomainError, IntegrationError
 from .grid import Grid, InitialCondition, State, make_grid, moment, \
     read_tabulated_csv, sample_initial
 from .hypotheses import CheckResult, HypothesisReport, check_scenario, \
-    coalescence_threshold, threshold_bg, threshold_singular, \
+    classify_growth, coalescence_threshold, threshold_bg, threshold_singular, \
     verify_uniform_integrability
-from .kernels import GrowthClass, KernelSpec, classify_growth, eval_kernel
+from .kernels import KernelSpec, eval_kernel
 from .solver import OperatorTables, StepControl, Trajectory, apply_rhs, \
     build_tables, integrate, weak_form_residual
 

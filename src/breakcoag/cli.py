@@ -106,6 +106,8 @@ def _read_kernel_csv(path):
         raise ConfigError(f"cannot read kernel table {path}: {exc}")
     if rows.shape[1] != 3:
         raise DataError("kernel table needs columns x,y,K")
+    if not np.all(np.isfinite(rows)):
+        raise DataError("kernel table values must be finite")
     x = np.unique(rows[:, 0])
     y = np.unique(rows[:, 1])
     if rows.shape[0] != x.size * y.size:

@@ -76,6 +76,8 @@ class State:
         self.density.setflags(write=False)
         if self.density.shape != (self.grid.cell_count,):
             raise ConfigError("density length does not match the grid")
+        if not np.all(np.isfinite(self.density)):
+            raise ConfigError("density must be finite")
         if np.any(self.density < 0):
             raise ConfigError("density must be non-negative")
         if self.time < 0:
@@ -160,6 +162,8 @@ class InitialCondition:
         f = np.asarray(f, dtype=float)
         if x.ndim != 1 or x.shape != f.shape or x.size < 2:
             raise DataError("tabulated profile needs matching 1-d x and f arrays")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
+            raise DataError("tabulated x and f values must be finite")
         if np.any(np.diff(x) <= 0):
             raise DataError("tabulated x values must be strictly increasing")
         if np.any(x <= 0):

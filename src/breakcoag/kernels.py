@@ -1,17 +1,15 @@
-"""Collision kernel families and growth-class certification.
+"""Collision kernel families and tables on a rectangular log grid.
 
-Each family comes with default certified constants (singularity exponent
+Each family comes with declared growth constants (singularity exponent
 alpha, small-volume constant k1, linear-growth constant k2, sub-quadratic
-majorant exponent/coefficient, global linear constant k0).  The classifier
-verifies the corresponding piecewise inequalities on a dense log-uniform
-sample; it certifies declared constants rather than searching for minimal
-ones.  The truncated kernel of the simulation is built in
-``solver.build_tables``.
+majorant exponent/coefficient, global linear constant k0).
+``hypotheses.classify_growth`` certifies them on a log mesh; it checks the
+declared constants rather than searching for minimal ones.  The truncated
+kernel of the simulation is built in ``solver.build_tables``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +18,7 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "KernelSpec",
-    "GrowthClass",
     "eval_kernel",
-    "classify_growth",
 ]
 
 _FAMILIES = {
@@ -160,14 +156,16 @@ def eval_kernel(spec: KernelSpec, x, y):
 def check_table(x, y, values, what: str):
     """Validate a table over the axes x, y; return the three as float arrays.
 
-    Axes must be positive and strictly increasing; on a shared axis the
-    table must be symmetric to 1e-12 relative.
+    Axes and values must be finite, axes positive and strictly increasing;
+    on a shared axis the table must be symmetric to 1e-12 relative.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     values = np.asarray(values, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or values.shape != (x.size, y.size):
         raise ConfigError(f"{what} needs values of shape (len(x), len(y))")
+    if not all(np.isfinite(a).all() for a in (x, y, values)):
+        raise ConfigError(f"{what} needs finite axes and values")
     if np.any(x <= 0) or np.any(y <= 0) or np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
         raise ConfigError("table axes must be positive and strictly increasing")
     if (x.size == y.size and np.allclose(x, y)
@@ -191,127 +189,3 @@ def table_lookup(tx, ty, values, x, y):
             + wx * (1 - wy) * values[ix + 1, iy]
             + (1 - wx) * wy * values[ix, iy + 1]
             + wx * wy * values[ix + 1, iy + 1])
-
-
-# ---------------------------------------------------------------------------
-# growth classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GrowthClass:
-    """Outcome of certifying the growth bounds on a sampled box.
-
-    Each `satisfies_*` flag is True only when the corresponding inequality
-    held at every sample within a 1e-12 relative tolerance; the residual is
-    the worst sampled excess of K over its bound, relative to the bound.
-    """
-
-    satisfies_p1: bool
-    alpha: float
-    k1: float
-    residual_p1: float
-    satisfies_p2: bool
-    k2: float | None
-    residual_p2: float
-    satisfies_p3: bool
-    r_exponent: float | None
-    r_coeff: float
-    residual_p3: float
-    satisfies_p400: bool
-    k0: float | None
-    residual_p400: float
-
-
-_RTOL = 1e-12
-
-
-def _log_uniform_samples(box, samples: int):
-    (x_lo, x_hi), (y_lo, y_hi) = box
-    if x_lo <= 0 or y_lo <= 0 or x_hi <= x_lo or y_hi <= y_lo:
-        raise ConfigError("sample box must be a rectangle inside (0, inf)^2")
-    rng = np.random.default_rng(1234)  # fixed seed: classification is deterministic
-    x = np.exp(rng.uniform(math.log(x_lo), math.log(x_hi), samples))
-    y = np.exp(rng.uniform(math.log(y_lo), math.log(y_hi), samples))
-    # make sure both sides of the unit split are represented
-    extra = np.array([0.5 * x_lo + 0.5, 0.99, 1.01, 0.5 * (1 + x_hi)])
-    extra = extra[(extra > x_lo) & (extra < x_hi)]
-    if extra.size:
-        x = np.concatenate([x, extra, np.full(extra.size, min(x_hi * 0.9, 2.0))])
-        y = np.concatenate([y, np.full(extra.size, min(y_hi * 0.9, 2.0)), extra])
-    # exp(log) can round past the box, and the extra points can lie outside
-    # a box that does not contain (1, 2): a table kernel ends at its box
-    return np.clip(x, x_lo, x_hi), np.clip(y, y_lo, y_hi)
-
-
-def _worst_excess(K, bound, mask):
-    if not np.any(mask):
-        return 0.0
-    b = bound[mask]
-    return float(np.max((K[mask] - b) / np.where(b > 0, b, 1.0)))
-
-
-def classify_growth(spec: KernelSpec,
-                    sample_box=((1e-4, 1e4), (1e-4, 1e4)),
-                    samples: int = 20000) -> GrowthClass:
-    """Certify the declared growth constants on a log-uniform sample; a
-    table kernel is sampled only where the box meets its tabulated box."""
-    if samples < 10_000:
-        raise ConfigError("growth classification needs at least 10^4 samples")
-    if spec.family == "table":
-        sample_box = tuple(
-            (max(lo, axis[0]), min(hi, axis[-1])) for (lo, hi), axis
-            in zip(sample_box, (spec.params["x"], spec.params["y"])))
-    x, y = _log_uniform_samples(sample_box, samples)
-    K = eval_kernel(spec, x, y)
-
-    a, k1 = spec.declared_alpha, spec.declared_k1
-    small_x, small_y = x < 1, y < 1
-    bound1 = np.empty_like(K)
-    bound1[small_x & small_y] = k1 * (x * y)[small_x & small_y] ** (-a)
-    m = small_x & ~small_y
-    bound1[m] = k1 * x[m] ** (-a) * y[m]
-    m = ~small_x & small_y
-    bound1[m] = k1 * x[m] * y[m] ** (-a)
-    m = ~small_x & ~small_y
-    bound1[m] = k1 * (x * y)[m]
-    res1 = _worst_excess(K, bound1, np.ones_like(K, dtype=bool))
-    ok1 = res1 <= _RTOL
-
-    if spec.declared_k2 is not None:
-        m = ~small_x & ~small_y
-        res2 = _worst_excess(K, spec.declared_k2 * (x + y), m)
-        ok2 = res2 <= _RTOL
-    else:
-        res2, ok2 = math.inf, False
-
-    if spec.r_exponent is not None:
-        r_of = lambda v: spec.r_coeff * np.maximum(1.0, v ** spec.r_exponent)
-        bound3 = np.empty_like(K)
-        m = small_x & small_y
-        bound3[m] = k1 * (x * y)[m] ** (-a)  # small-volume region covered by the k1 bound
-        m = small_x & ~small_y
-        bound3[m] = x[m] ** (-a) * r_of(y[m])
-        m = ~small_x & small_y
-        bound3[m] = r_of(x[m]) * y[m] ** (-a)
-        m = ~small_x & ~small_y
-        bound3[m] = r_of(x[m]) * r_of(y[m])
-        res3 = _worst_excess(K, bound3, ~(small_x & small_y))
-        # sub-quadratic growth additionally requires r(x)/x -> 0
-        ok3 = res3 <= _RTOL and spec.r_exponent < 1.0
-    else:
-        res3, ok3 = math.inf, False
-
-    if spec.declared_k0 is not None:
-        res4 = _worst_excess(K, spec.declared_k0 * (x + y),
-                             np.ones_like(K, dtype=bool))
-        ok4 = res4 <= _RTOL
-    else:
-        res4, ok4 = math.inf, False
-
-    return GrowthClass(
-        satisfies_p1=ok1, alpha=a, k1=k1, residual_p1=res1,
-        satisfies_p2=ok2, k2=spec.declared_k2, residual_p2=res2,
-        satisfies_p3=ok3, r_exponent=spec.r_exponent, r_coeff=spec.r_coeff,
-        residual_p3=res3,
-        satisfies_p400=ok4, k0=spec.declared_k0, residual_p400=res4,
-    )

@@ -369,7 +369,7 @@ _DP_P = np.array([
 # every stage slope is mass-free, so mass changes only through clipping:
 # a looser limit on a step's clipped share lets it drift above rounding
 _CLIP_LIMIT = 1e-15
-_DT_MIN = 1e-12                      # step-size underflow guard
+_DT_MIN = 1e-12                      # step-size underflow guard, per horizon
 
 
 def _clip(density: np.ndarray, grid: Grid):
@@ -386,11 +386,13 @@ def integrate(tables: OperatorTables, state: State,
     accepted when its embedded error is within tolerance and its clipped
     negative densities hold at most ``_CLIP_LIMIT`` of the mass.  The steps
     do not stop at output times: an output inside a step is read from the
-    step's continuous extension, then clipped, its clipped mass counted."""
+    step's continuous extension, then clipped, its clipped mass counted.
+    A step size below ``_DT_MIN`` of the horizon raises IntegrationError."""
     g = tables.grid
     f = state.density.astype(float).copy()
     t = float(state.time)
     t_end = float(control.t_end)
+    dt_min = _DT_MIN * (t_end - t)
     requested = {float(s) for s in control.output_times}
     outside = sorted(s for s in requested if not t <= s <= t_end)
     if outside:
@@ -448,7 +450,7 @@ def integrate(tables: OperatorTables, state: State,
             n_rejected += 1
             factor = max(0.2, 0.9 * err ** -0.2) if clip_ok else 0.5
         dt = h * factor
-        if dt < _DT_MIN and t < t_end:
+        if dt < dt_min and t < t_end:
             raise IntegrationError(
                 "step size underflow",
                 diagnostics={"t": t, "dt": dt, "clipped_mass": clipped_total})

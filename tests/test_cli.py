@@ -197,6 +197,32 @@ class TestMain:
         assert (out / "moments.csv").is_file()
         assert (out / "trajectory_0005.csv").is_file()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_initial_table_exit_two(self, tmp_path, capsys, bad):
+        rows = [f"{x!r},1.0" for x in np.geomspace(1e-3, 1e2, 8).tolist()]
+        rows[3] = rows[3].replace("1.0", bad)
+        (tmp_path / "initial.csv").write_text("x,f\n" + "\n".join(rows))
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["initial"] = {"family": "tabulated",
+                          "path": str(tmp_path / "initial.csv")}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_kernel_table_exit_two(self, tmp_path, capsys):
+        axis = np.geomspace(1e-3, 1e2, 6).tolist()
+        rows = [f"{x!r},{y!r},{x + y!r}" for x in axis for y in axis]
+        rows[7] = rows[7].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "kernel.csv").write_text("x,y,K\n" + "\n".join(rows))
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"] = {"x_min": 1e-3, "x_max": 1e2, "cells": 30}
+        cfg["kernel"] = {"family": "table",
+                         "path": str(tmp_path / "kernel.csv")}
+        assert cli.main(["run", _write(tmp_path, cfg), "--out",
+                         str(tmp_path / "results")]) == 2
+        assert "kernel table values must be finite" in capsys.readouterr().err
+
     def test_method_names_one_integrator(self, tmp_path):
         # "heun" is the legacy name of the one integrator, "dopri5"
         outs = []
@@ -353,6 +379,18 @@ class TestReadme:
         code = cli.main(["run", str(path), "--out", str(tmp_path / "out"),
                          "--override", "control.t_end=0.5"])
         assert code == 0
+
+    def test_readme_example_integration_failure_exit_three(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "config.json"
+        path.write_text(_readme_block("json"))
+        out = tmp_path / "out"
+        code = cli.main(["run", str(path), "--out", str(out),
+                         "--override", "control.rtol=1e-300",
+                         "--override", "control.atol=1e-300"])
+        assert code == 3
+        assert "step size underflow" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_readme_library_example_runs(self):
         namespace = {}

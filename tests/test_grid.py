@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import breakcoag as bc
-from breakcoag.errors import ConfigError
+from breakcoag.errors import ConfigError, DataError
 
 
 class TestMakeGrid:
@@ -64,6 +64,14 @@ class TestSampleInitial:
         oracle = float(np.sum(g.centers ** -0.25 * cell))
         assert_allclose(discrete, oracle, rtol=1e-8)
 
+    @pytest.mark.parametrize("column", ["x", "f"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_table_rejected(self, column, bad):
+        table = {"x": np.geomspace(1e-3, 1e2, 10), "f": np.ones(10)}
+        table[column][-1] = bad
+        with pytest.raises(DataError, match="finite"):
+            bc.InitialCondition.tabulated(table["x"], table["f"])
+
     def test_mass_rescale_is_exact(self):
         g = bc.make_grid(1e-3, 1e2, 80)
         for ic in (bc.InitialCondition.exponential(2.0, mass=3.5),
@@ -83,6 +91,14 @@ class TestMoment:
         g = bc.make_grid(1e-3, 1e2, 50)
         state = bc.State(grid=g, density=np.zeros(g.cell_count))
         assert bc.moment(state, 1.3) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_rejected(self, bad):
+        g = bc.make_grid(1e-3, 1e2, 50)
+        density = np.ones(g.cell_count)
+        density[7] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            bc.State(grid=g, density=density)
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.floats(-0.5, 2.0), a=st.floats(0.1, 5.0), b=st.floats(0.1, 5.0))

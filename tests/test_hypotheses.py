@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +135,41 @@ class TestCheckScenario:
                                    bc.InitialCondition.exponential(1.0))
         assert report.checks["p400"].status == "pass"
         assert "Thm2.6" in report.applicable_results
+
+    def test_growth_checks_keep_their_witness(self):
+        kernel = bc.KernelSpec("sum_product", {"zeta": 0.0, "eta": 1.0},
+                               declared_k1=1.0, declared_k2=0.9,
+                               declared_k0=0.9)
+        report = bc.check_scenario(kernel, bc.DaughterSpec.power_total(0.0),
+                                   bc.ProbSpec.constant(0.5),
+                                   bc.InitialCondition.exponential(1.0))
+        growth = bc.classify_growth(kernel)
+        for name in ("p1", "p2", "p3", "p400"):
+            assert report.checks[name] == growth[name]
+        assert report.checks["p1"].witness is not None
+        assert report.applicable_results == ()
+
+    def test_run_path_loads_no_random_or_ode_module(self):
+        # the checks sample a deterministic mesh and the integrator is
+        # transcribed, so neither numpy.random nor scipy.integrate is needed
+        script = """
+import sys
+import breakcoag as bc
+g = bc.make_grid(1e-3, 1e2, 30)
+kernel, daughter = bc.KernelSpec.additive(), bc.DaughterSpec.power_total(0.0)
+prob, ic = bc.ProbSpec.constant(0.5), bc.InitialCondition.exponential(1.0)
+bc.check_scenario(kernel, daughter, prob, ic)
+tables = bc.build_tables(g, kernel, g.x_max, daughter, prob)
+bc.integrate(tables, bc.sample_initial(ic, g), bc.StepControl(t_end=0.1))
+print(sorted(m for m in ("numpy.random", "scipy.integrate")
+             if m in sys.modules))
+"""
+        src = str(Path(bc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_report_serializes(self):
         report = bc.check_scenario(bc.KernelSpec.constant(1.0),

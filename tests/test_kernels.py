@@ -74,6 +74,22 @@ class TestTableKernel:
         with pytest.raises(ConfigError):
             bc.KernelSpec.table(x, x, K)
 
+    @pytest.mark.parametrize("where", ["value", "axis"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_table_rejected(self, where, bad):
+        # distinct axes: no symmetry check that a NaN would trip anyway
+        x = np.geomspace(0.1, 10.0, 5)
+        y = 2.0 * x
+        K = np.add.outer(x, y) / 100.0
+        if where == "value":
+            K[1, 2] = bad
+        else:
+            y[-1] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            bc.KernelSpec.table(x, y, K)
+        with pytest.raises(ConfigError, match="finite"):
+            bc.ProbSpec.table(x, y, K)
+
 
 def _truncated(kernel, level):
     """Centers (as a column and a row) and ``build_tables``' truncated
@@ -109,28 +125,100 @@ class TestTruncateKernel:
                 _truncated(bc.KernelSpec.product(), level)
 
 
+# p1/p2/p3/p400 statuses of every built-in family at its default constants
+_TABLE_AXIS = np.geomspace(1e-3, 1e2, 6)
+_REFERENCE_STATUSES = {
+    "smoluchowski": (bc.KernelSpec.smoluchowski(), "pass pass pass n/a"),
+    "sum_product(0,1)": (bc.KernelSpec.sum_product(0.0, 1.0),
+                         "pass pass n/a pass"),
+    "sum_product(-0.25,0.5)": (bc.KernelSpec.sum_product(-0.25, 0.5),
+                              "pass pass pass n/a"),
+    "sum_product(0,0)": (bc.KernelSpec.sum_product(0.0, 0.0),
+                         "pass pass pass n/a"),
+    "sum_product(0.5,1)": (bc.KernelSpec.sum_product(0.5, 1.0),
+                           "pass n/a n/a n/a"),
+    "sum_product(-0.4,1)": (bc.KernelSpec.sum_product(-0.4, 1.0),
+                            "pass pass n/a n/a"),
+    "bg_ratio(0.5,1)": (bc.KernelSpec.bg_ratio(0.5, 1.0), "pass n/a pass n/a"),
+    "bg_ratio(0,0.5)": (bc.KernelSpec.bg_ratio(0.0, 0.5),
+                        "pass pass pass n/a"),
+    "bg_ratio(0.5,2)": (bc.KernelSpec.bg_ratio(0.5, 2.0), "fail n/a n/a n/a"),
+    "product": (bc.KernelSpec.product(), "pass n/a n/a n/a"),
+    "additive": (bc.KernelSpec.additive(), "pass pass n/a pass"),
+    "constant": (bc.KernelSpec.constant(), "pass pass pass n/a"),
+    "constant(2.5)": (bc.KernelSpec.constant(2.5), "pass pass pass n/a"),
+    "table(x+y)": (bc.KernelSpec.table(_TABLE_AXIS, _TABLE_AXIS,
+                                       np.add.outer(_TABLE_AXIS, _TABLE_AXIS)),
+                   "pass n/a n/a n/a"),
+}
+_BOX = ((1e-4, 1e4), (1e-4, 1e4))
+
+
 class TestClassifyGrowth:
     def test_sum_product_mass_conserving_class(self):
-        gc = bc.classify_growth(bc.KernelSpec.sum_product(0.0, 1.0))
-        assert gc.satisfies_p1 and gc.satisfies_p2
-        assert gc.alpha == 0.0
+        spec = bc.KernelSpec.sum_product(0.0, 1.0)
+        checks = bc.classify_growth(spec)
+        assert checks["p1"].status == checks["p2"].status == "pass"
+        assert spec.declared_alpha == 0.0
 
     def test_bg_ratio_constants(self):
-        gc = bc.classify_growth(bc.KernelSpec.bg_ratio(0.5, 1.0))
-        assert gc.satisfies_p1
-        assert_allclose(gc.alpha, 0.25)
-        assert gc.satisfies_p3
-        assert_allclose(gc.r_exponent, (2.0 * 1.0 - 0.5) / 2.0)
+        spec = bc.KernelSpec.bg_ratio(0.5, 1.0)
+        checks = bc.classify_growth(spec)
+        assert checks["p1"].status == checks["p3"].status == "pass"
+        assert_allclose(spec.declared_alpha, 0.25)
+        assert_allclose(spec.r_exponent, (2.0 * 1.0 - 0.5) / 2.0)
 
     def test_additive_lower_bound_class(self):
-        gc = bc.classify_growth(bc.KernelSpec.additive())
-        assert gc.satisfies_p400
-        assert_allclose(gc.k0, 1.0)
+        spec = bc.KernelSpec.additive()
+        assert bc.classify_growth(spec)["p400"].status == "pass"
+        assert_allclose(spec.declared_k0, 1.0)
 
     def test_product_kernel_not_sublinear(self):
-        gc = bc.classify_growth(bc.KernelSpec.product())
-        assert not gc.satisfies_p2
+        p2 = bc.classify_growth(bc.KernelSpec.product())["p2"]
+        assert p2.status == "n/a" and p2.residual == np.inf
 
     def test_sample_floor(self):
         with pytest.raises(ConfigError):
             bc.classify_growth(bc.KernelSpec.additive(), samples=100)
+
+    @pytest.mark.parametrize("spec,statuses", _REFERENCE_STATUSES.values(),
+                             ids=_REFERENCE_STATUSES)
+    def test_reference_statuses(self, spec, statuses):
+        checks = bc.classify_growth(spec)
+        assert list(checks) == ["p1", "p2", "p3", "p400"]
+        assert " ".join(c.status for c in checks.values()) == statuses
+        for c in checks.values():
+            assert (c.residual == 0.0) == (c.status == "pass")
+
+    def test_under_declared_constants_fail_with_witness(self):
+        # K = x + y against k1 = 1, k2 = k0 = 0.9
+        spec = bc.KernelSpec("sum_product", {"zeta": 0.0, "eta": 1.0},
+                             declared_k1=1.0, declared_k2=0.9,
+                             declared_k0=0.9)
+        checks = bc.classify_growth(spec)
+        for name in ("p1", "p2", "p400"):
+            c = checks[name]
+            assert c.status == "fail" and c.residual > 1e-12
+            x, y = c.witness
+            assert _BOX[0][0] <= x <= _BOX[0][1]
+            assert _BOX[1][0] <= y <= _BOX[1][1]
+        assert_allclose(checks["p400"].residual, 1.0 / 0.9 - 1.0, rtol=1e-12)
+        assert min(checks["p2"].witness) >= 1.0
+        assert checks["p3"].status == "n/a"
+
+    def test_box_below_one_has_no_large_volume_samples(self):
+        # p2 and p3 bound K only where a volume is at least 1
+        checks = bc.classify_growth(bc.KernelSpec.constant(),
+                                    sample_box=((1e-4, 0.5), (1e-4, 0.5)))
+        for name in ("p2", "p3"):
+            assert checks[name] == bc.CheckResult("pass", 0.0, None)
+        assert checks["p1"].status == "pass"
+
+    def test_table_kernel_witness_inside_its_box(self):
+        spec = bc.KernelSpec.table(_TABLE_AXIS, 2.0 * _TABLE_AXIS,
+                                   np.add.outer(_TABLE_AXIS, 2.0 * _TABLE_AXIS),
+                                   declared_k1=0.5)
+        p1 = bc.classify_growth(spec)["p1"]
+        assert p1.status == "fail"
+        assert _TABLE_AXIS[0] <= p1.witness[0] <= _TABLE_AXIS[-1]
+        assert 2.0 * _TABLE_AXIS[0] <= p1.witness[1] <= 2.0 * _TABLE_AXIS[-1]

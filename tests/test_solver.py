@@ -247,6 +247,20 @@ class TestStepAndIntegrate:
         m1 = traj.densities @ (small_grid.centers * small_grid.widths)
         assert np.max(np.abs(m1 / m1[0] - 1.0)) <= 1e-10
 
+    def test_underflow_guard_scales_with_the_horizon(self):
+        # a mass of 1e10 puts the collision time near 1e-13: a fixed
+        # step-size floor of 1e-12 would stop this run at its first steps
+        g = bc.make_grid(1e-3, 1e3, 40)
+        tables = _tables(g, bc.KernelSpec.product())
+        state = bc.sample_initial(
+            bc.InitialCondition.exponential(1.0, mass=1e10), g)
+        rate = float(np.max(tables.K_death @ (state.density * g.widths)))
+        assert rate > 1e12
+        traj = bc.integrate(tables, state, bc.StepControl(t_end=0.1 / rate))
+        mass = g.centers * g.widths
+        assert np.all(traj.densities >= 0.0)
+        assert_allclose(traj.densities[-1] @ mass, 1e10, rtol=1e-13)
+
     def test_output_times_outside_horizon_rejected(self, small_grid):
         t = _tables(small_grid)
         z = bc.State(grid=small_grid, density=np.zeros(small_grid.cell_count),
