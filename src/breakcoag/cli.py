@@ -381,8 +381,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
         hs = sample_initial(config.initial,
                             make_grid(config.grid.x_min, config.grid.x_max,
                                       3999)).density
-        pc = build_phi(np.sqrt(xs[:-1] * xs[1:]), hs, opts["theta"],
-                       extrapolate=True)
+        pc = build_phi(np.sqrt(xs[:-1] * xs[1:]), hs, opts["theta"])
         rep = verify_dlvp(pc, np.sqrt(xs[:-1] * xs[1:]), hs)
         results["dlvp"] = {"j_seq": pc.j_seq, "ok": rep["ok"]}
         if not rep["ok"]:

@@ -143,8 +143,6 @@ def contraction_experiment(tables: OperatorTables, control: StepControl,
     if unmet or report.B_minus_alpha is None:
         raise ConfigError(
             f"contraction experiment outside uniqueness hypotheses: {unmet}")
-    if not (ic_f.finite_second_moment and ic_g.finite_second_moment):
-        raise ConfigError("contraction experiment needs finite second moments")
 
     g = tables.grid
     traj_f = integrate(tables, sample_initial(ic_f, g), control)

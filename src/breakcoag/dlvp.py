@@ -95,7 +95,6 @@ class PhiConstruction:
     j_seq: np.ndarray
     theta: float
     phi0_at_breaks: np.ndarray       # exact Phi_0(j_m)
-    extrapolate: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
@@ -120,21 +119,20 @@ def _phi0_breaks(j: np.ndarray) -> np.ndarray:
 
 
 def build_phi(x: np.ndarray, h: np.ndarray, theta: float,
-              max_m: int = 25, extrapolate: bool = False) -> PhiConstruction:
+              max_m: int = 25) -> PhiConstruction:
     j = build_j_sequence(x, h, max_m)
     return PhiConstruction(j_seq=j, theta=theta,
-                           phi0_at_breaks=_phi0_breaks(j),
-                           extrapolate=extrapolate)
+                           phi0_at_breaks=_phi0_breaks(j))
 
 
 def eval_phi0(pc: PhiConstruction, xi):
-    """(Phi_0, Phi_0') by the exact piecewise formulas."""
+    """(Phi_0, Phi_0') by the exact piecewise formulas, up to j_seq[-1]."""
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0):
         raise DomainError("Phi_0 is defined for xi >= 0")
     j = pc.j_seq.astype(float)
-    if np.any(xi > j[-1]) and not pc.extrapolate:
-        raise DomainError("xi beyond the last breakpoint; enable extrapolation")
+    if np.any(xi > j[-1]):
+        raise DomainError("xi beyond the last breakpoint")
     base = 1.0 / (j[1] - j[0])
     m = np.clip(np.searchsorted(j, xi, side="right") - 1, 0, j.size - 2)
     first = m == 0
@@ -144,16 +142,6 @@ def eval_phi0(pc: PhiConstruction, xi):
     phi0 = np.where(first, 0.5 * xi ** 2 * base,
                     pc.phi0_at_breaks[m] + 0.5 * off ** 2 / gap
                     + (m + base) * off)
-    beyond = xi > j[-1]
-    if np.any(beyond):
-        # linear continuation of Phi_0' with the last slope
-        ml = j.size - 2
-        gl = j[-1] - j[-2]
-        offl = xi - j[-1]
-        dl = (j[-1] - j[-2]) / gl + ml + base
-        dphi = np.where(beyond, dl + offl / gl, dphi)
-        phi0 = np.where(beyond, pc.phi0_at_breaks[-1] + dl * offl
-                        + 0.5 * offl ** 2 / gl, phi0)
     return phi0, dphi
 
 
@@ -180,6 +168,8 @@ def verify_dlvp(pc: PhiConstruction, x: np.ndarray, h: np.ndarray,
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     x_lo = max(float(x[0]), 1.0 / j[-1])
+    if 1.0 / x_lo > j[-1]:             # 1 / (1 / j) can round above j
+        x_lo = float(np.nextafter(x_lo, np.inf))
     x_hi = float(x[-1])
 
     def integral(xs, hs):

@@ -172,14 +172,6 @@ class InitialCondition:
             raise DataError("tabulated f values must be non-negative")
         return cls("tabulated", {"x": x, "f": f}, mass)
 
-    @property
-    def finite_second_moment(self) -> bool:
-        """Whether the continuous profile has a finite second moment.
-
-        All built-in families decay fast enough or have compact support.
-        """
-        return True
-
 
 def _cell_integrals_exponential(edges: np.ndarray, rate: float) -> np.ndarray:
     # integral over each cell of exp(-rate * x)

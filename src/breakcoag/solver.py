@@ -20,15 +20,19 @@ Design notes
   grid — the configuration used to observe gelation as genuine mass loss.
 * Operator layout.  Away from the diagonal band and the grid top, a pair
   (i <= j) deposits at fixed offsets from the larger partner's cell j:
-  coalescence brackets at j and j + 1, fragment top cell at j (a row of
-  ``frag_prefix``), partial-cell brackets at j - 1 and j.  There a
-  stream's gain is ``n_j (M^T n)_j`` for its per-pair weights M, so
-  ``stack`` holds one (N, N) weight block per destination (gain at j,
-  j + 1, then j - 1 and top cell j, or the per-parent breakage rates
-  ``(K (1 - E))^T``) and last ``K_death^T``: one GEMV ``number @ stack``
-  plus shifted adds applies them.  Other pairs stay packed in ``rem_*``
-  for one ``bincount``.  This is the only form of the operator: the
-  weak-form residual reads its rates through the same ``_rates``.
+  coalescence brackets at j and j + 1, partial fragment cell brackets at
+  j - 1 and j, fragment top cell j.  There a stream's gain is
+  ``n_j (M^T n)_j`` for its per-pair weights M, so ``stack`` holds five
+  (N, N) weight blocks, for every daughter family: gain at j, j + 1 and
+  j - 1, top cell j, and last ``K_death^T``.  One GEMV ``number @ stack``
+  plus shifted adds applies them; other pairs stay packed in ``rem_*``
+  for one ``bincount``.  The top-cell stream deposits every complete cell
+  below the top: a suffix sum of it over the cells, applied to the O(N)
+  per-lump table ``lump_*``.  Under ``power_each`` both parents of a pair
+  break, parent j like a pair of total size c_j (top cell j, partial
+  cell [e_j, c_j] bracketed at j - 1 and j), so its weights fill the same
+  blocks over both triangles.  This is the only form of the operator:
+  the weak-form residual reads its rates through the same ``_rates``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .daughter import DaughterSpec, ProbSpec, eval_E, partial_moment_integral
+from .daughter import DaughterSpec, ProbSpec, eval_E
 from .errors import ConfigError, IntegrationError
 from .grid import Grid, State
 from .kernels import KernelSpec, eval_kernel
@@ -113,7 +117,7 @@ class OperatorTables:
     prob: ProbSpec
     n_trunc: float
     offgrid_loss: bool
-    stack: np.ndarray                  # (N, B*N) weight blocks, death last
+    stack: np.ndarray                  # (N, 5N) weight blocks, death last
     K_table: np.ndarray                # gain kernel; K_death unless offgrid_loss
     K_death: np.ndarray                # death kernel, a view of the last block
     E_table: np.ndarray
@@ -121,45 +125,25 @@ class OperatorTables:
     rem_j: np.ndarray
     rem_dest: np.ndarray               # (S, R) per stream; N + t is top cell t
     rem_w: np.ndarray                  # (S, R) per-pair weights
-    frag_prefix: np.ndarray | None     # (N+1, N): deposits from complete cells
-    frag_parent: np.ndarray | None     # (N, N) per-parent deposits (power_each)
-
-    def cell_fragment_numbers(self, i: int, j: int) -> np.ndarray:
-        """Raw per-destination-cell fragment number integrals for pair (i, j)
-        (before center remapping); used for inspection and testing.
-        """
-        g = self.grid
-        s = g.centers[i] + g.centers[j]
-        lo = np.minimum(g.edges[:-1], s)
-        hi = np.minimum(g.edges[1:], s)
-        return np.asarray(
-            partial_moment_integral(self.daughter, 0.0, hi, g.centers[i], g.centers[j])
-            - partial_moment_integral(self.daughter, 0.0, lo, g.centers[i], g.centers[j]))
+    lump_src: np.ndarray               # (2N+1,) 0 sub-grid lump, k + 1 cell k
+    lump_dest: np.ndarray              # (2N+1,) bracketing centers
+    lump_w: np.ndarray                 # (2N+1,) numbers per unit scale
 
 
-def _frag_cell_lumps(daughter: DaughterSpec, edges: np.ndarray):
-    """Unscaled (number, mass) integrals of ``(nu+2) z^nu`` over each cell,
-    plus the sub-grid lump below the first edge.
+def _frag_lumps(daughter: DaughterSpec, grid: Grid):
+    """Fragment deposits per unit scale of the sub-grid lump (source 0) and
+    each complete cell k (source k + 1), remapped onto centers, as
+    (source, destination, weight) arrays.  A pair with top cell t receives
+    every entry whose source is at most t.
     """
     nu = daughter.nu
-    gnum = (nu + 2.0) * _pow_integral(edges[:-1], edges[1:], nu + 1.0)
-    gmass = edges[1:] ** (nu + 2.0) - edges[:-1] ** (nu + 2.0)
-    lump_mass = edges[0] ** (nu + 2.0)
-    return gnum, gmass, lump_mass
-
-
-def _frag_prefix_matrix(daughter: DaughterSpec, grid: Grid) -> np.ndarray:
-    """Row t: fragment numbers deposited per unit scale from the sub-grid
-    lump and all complete cells k < t.
-    """
-    N = grid.cell_count
-    gnum, gmass, lump_mass = _frag_cell_lumps(daughter, grid.edges)
+    e = grid.edges
+    gnum = (nu + 2.0) * _pow_integral(e[:-1], e[1:], nu + 1.0)
+    gmass = e[1:] ** (nu + 2.0) - e[:-1] ** (nu + 2.0)
     l1, l2, w1, w2 = _remap_points(grid.centers, gmass / gnum, gnum)
-    cells = np.zeros((N + 1, N))          # row k + 1: deposits of cell k
-    cells[0, 0] = lump_mass / grid.centers[0]
-    np.add.at(cells, (np.arange(1, N + 1), l1), w1)
-    np.add.at(cells, (np.arange(1, N + 1), l2), w2)
-    return np.cumsum(cells, axis=0)
+    k = np.arange(1, grid.cell_count + 1)
+    return (np.concatenate(([0], k, k)), np.concatenate(([0], l1, l2)),
+            np.concatenate(([e[0] ** (nu + 2.0) / grid.centers[0]], w1, w2)))
 
 
 def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
@@ -178,20 +162,6 @@ def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
     pw1 = np.where(pnum > 0, pw1, 0.0)
     pw2 = np.where(pnum > 0, pw2, 0.0)
     return t, pl1, pl2, pw1, pw2
-
-
-def _frag_parent_matrix(daughter: DaughterSpec, grid: Grid) -> np.ndarray:
-    """(N, N) matrix: deposits per breakage event from a parent in cell i."""
-    nu = daughter.nu
-    prefix = _frag_prefix_matrix(daughter, grid)
-    c = grid.centers
-    t, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, c)
-    w = c ** (-(nu + 1.0))
-    A = prefix[t] * w[:, None]
-    idx = np.arange(grid.cell_count)
-    np.add.at(A, (idx, pl1), w * pw1)
-    np.add.at(A, (idx, pl2), w * pw2)
-    return A
 
 
 def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
@@ -215,7 +185,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     X, Y = c[:, None], c[None, :]
     s = X + Y
     E_table = np.asarray(eval_E(prob, X, Y), dtype=float)
-    stack = np.zeros((N, 4 * N if daughter.per_parent else 5 * N))
+    stack = np.zeros((N, 5 * N))
     K_death = stack[:, -N:].T
     K_death[...] = eval_kernel(kernel, X, Y)
     # offgrid_loss drops the rate cap and keeps the raw kernel in the loss
@@ -242,12 +212,19 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     # (destination, weight, block); block b is regular at j + offset[b]
     streams = [(dep["coag_l1"], coag * dep["coag_w1"], 0),
                (dep["coag_l2"], coag * dep["coag_w2"], 1)]
-    frag_prefix = frag_parent = None
     if daughter.per_parent:
-        frag_parent = _frag_parent_matrix(daughter, grid)
-        np.multiply(K_table, 1.0 - E_table, out=stack[:, 2 * N:3 * N].T)
+        # both parents break, parent j like a pair of total size c_j; the
+        # blocks are filled transposed, row j scaling parent j's K (1 - E)
+        _, _, _, pw1, pw2 = _frag_partial(daughter, grid, c)
+        pw2[0], pw1[0] = pw1[0] + pw2[0], 0.0     # parent 0: cell 0 alone
+        scale = c[:, None] ** (-(daughter.nu + 1.0))
+        broken = stack[:, 3 * N:4 * N].T
+        np.subtract(1.0, E_table, out=broken)
+        broken *= K_table
+        np.multiply(broken, scale * pw2[:, None], out=stack[:, :N].T)
+        np.multiply(broken, scale * pw1[:, None], out=stack[:, 2 * N:3 * N].T)
+        broken *= scale
     else:
-        frag_prefix = _frag_prefix_matrix(daughter, grid)
         frag = rate * (1.0 - E_pair) * dep["frag_w"]
         streams += [(dep["frag_pl2"], frag * dep["frag_pw2"], 0),
                     (dep["frag_pl1"], frag * dep["frag_pw1"], 2),
@@ -261,6 +238,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     for _, w, b in streams:
         stack[rows, cols + b * N] += w[regular]
     irregular = ~regular
+    lump_src, lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, stack=stack,
@@ -268,7 +246,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         rem_i=iu[irregular], rem_j=ju[irregular],
         rem_dest=np.array([dest[irregular] for dest, _, _ in streams]),
         rem_w=np.array([w[irregular] for _, w, _ in streams]),
-        frag_prefix=frag_prefix, frag_parent=frag_parent)
+        lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
 
 
 def _rates(tables: OperatorTables, density: np.ndarray):
@@ -284,13 +262,13 @@ def _rates(tables: OperatorTables, density: np.ndarray):
                       2 * N + 1).astype(float, copy=False)
     gain = out[:N] + u[0]
     gain[1:] += u[1, :-1]
-    if tables.frag_parent is not None:
-        gain += u[2] @ tables.frag_parent
-    else:
-        gain[:-1] += u[2, 1:]
-        top = out[N:]
-        top[:-1] += u[3]
-        gain += top @ tables.frag_prefix
+    gain[:-1] += u[2, 1:]
+    top = out[N:]
+    top[:-1] += u[3]
+    # top cell t receives the lump and every complete cell below t
+    above = np.cumsum(top[::-1])[::-1]
+    gain += np.bincount(tables.lump_dest,
+                        tables.lump_w * above[tables.lump_src], N)
     return gain / g.widths - density * v[-1], v[-1]
 
 

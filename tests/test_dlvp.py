@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import breakcoag as bc
+from breakcoag.dlvp import _phi0_breaks
 from breakcoag.errors import DomainError
 
 
@@ -110,6 +111,17 @@ class TestVerifyDlvp:
         assert out["convex_decreasing"]
         assert out["weighted_monotone"]
         assert out["derivative_inequalities"]["ok"]
+
+    def test_samples_stay_within_last_breakpoint(self):
+        # 1 / (1 / j) rounds above j for some integers j; with the profile
+        # reaching below 1 / j, the smallest sample must still map inside
+        x, h = _exp_profile()
+        j = bc.build_j_sequence(x, h, max_m=8)
+        j[-1] = next(v for v in range(int(j[-1]), int(j[-1]) + 1000)
+                     if 1.0 / (1.0 / v) > v)
+        assert x[0] < 1.0 / j[-1]
+        pc = bc.PhiConstruction(j, 0.5, _phi0_breaks(j))
+        assert bc.verify_dlvp(pc, x, h)["ok"]
 
     def test_first_piece_hand_inequality(self):
         x, h = _exp_profile()

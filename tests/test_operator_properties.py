@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import breakcoag as bc
 from breakcoag.solver import _phi_values, _rhs
-from test_solver import _reference_rhs, dense_deposits
+from test_solver import _reference_rhs, dense_deposits, dense_fragments
 
 X_MIN = 1e-3
 
@@ -97,24 +97,29 @@ def _terms(tables, density):
 
 
 def _deposits(tables):
-    """(N, N, 2N+1) per-pair deposits: cells < N are gains, N + t is the
-    fragment top cell t; from the dense per-pair tables."""
+    """(N, N, N) deposits of each pair i <= j into each cell, from the dense
+    per-pair and fragment tables."""
     g = tables.grid
     N = g.cell_count
     d = dense_deposits(tables)
+    prefix, parent = dense_fragments(tables)
     i, j = np.triu_indices(N)
     rate = np.where(i == j, 0.5, 1.0) * tables.K_table[i, j]
     coag = rate * tables.E_table[i, j]
-    streams = [(d["coag_l1"], coag * d["coag_w1"][i, j]),
-               (d["coag_l2"], coag * d["coag_w2"][i, j])]
-    if tables.frag_parent is None:
-        frag = rate * (1.0 - tables.E_table[i, j]) * d["frag_w"][i, j]
-        streams += [(d["frag_pl2"], frag * d["frag_pw2"][i, j]),
-                    (d["frag_pl1"], frag * d["frag_pw1"][i, j]),
-                    (N + d["frag_top"], frag)]
-    out = np.zeros((N, N, 2 * N + 1))
-    for dest, w in streams:
-        np.add.at(out, (i, j, dest[i, j]), w)
+    frag = rate * (1.0 - tables.E_table[i, j])
+    out = np.zeros((N, N, N))
+    np.add.at(out, (i, j, d["coag_l1"][i, j]), coag * d["coag_w1"][i, j])
+    np.add.at(out, (i, j, d["coag_l2"][i, j]), coag * d["coag_w2"][i, j])
+    if parent is not None:
+        # both parents break
+        out[i, j] += frag[:, None] * (parent[i] + parent[j])
+    else:
+        frag = frag * d["frag_w"][i, j]
+        np.add.at(out, (i, j, d["frag_pl1"][i, j]),
+                  frag * d["frag_pw1"][i, j])
+        np.add.at(out, (i, j, d["frag_pl2"][i, j]),
+                  frag * d["frag_pw2"][i, j])
+        out[i, j] += frag[:, None] * prefix[d["frag_top"][i, j]]
     return out
 
 
@@ -134,11 +139,9 @@ def test_rhs_matches_dense_reference(case):
 def test_blocks_and_remainder_carry_each_pair_once(case):
     tables, _ = case
     N = tables.grid.cell_count
-    blocks = tables.stack.reshape(N, -1, N).transpose(1, 0, 2)
-    gain_blocks = 2 if tables.frag_parent is not None else 4
-    got = np.zeros((N, N, 2 * N + 1))
-    for b, offset in enumerate((0, 1, -1, N)[:gain_blocks]):
-        assert not np.tril(blocks[b], -1).any()      # pairs are i <= j
+    blocks = tables.stack.reshape(N, 5, N).transpose(1, 0, 2)
+    got = np.zeros((N, N, 2 * N + 1))      # N + t is the top cell t
+    for b, offset in enumerate((0, 1, -1, N)):
         lo, hi = (N, 2 * N) if offset == N else (0, N - 1)
         for j in range(N):
             if lo <= j + offset <= hi:
@@ -147,11 +150,14 @@ def test_blocks_and_remainder_carry_each_pair_once(case):
                 assert not blocks[b][:, j].any()
     for dest, w in zip(tables.rem_dest, tables.rem_w):
         np.add.at(got, (tables.rem_i, tables.rem_j, dest), w)
-    assert_allclose(got, _deposits(tables), rtol=1e-14, atol=0.0)
+    # entries (i, j) and (j, i) carry the same pair
+    lower = np.tril_indices(N, -1)
+    got[lower[1], lower[0]] += got[lower]
+    got[lower] = 0.0
+    prefix, _ = dense_fragments(tables)
+    cells = got[..., :N] + got[..., N:] @ prefix
+    assert_allclose(cells, _deposits(tables), rtol=1e-14, atol=0.0)
     assert_array_equal(blocks[-1].T, tables.K_death)
-    if tables.frag_parent is not None:
-        assert_array_equal(blocks[2].T,
-                           tables.K_table * (1.0 - tables.E_table))
 
 
 @SETTINGS
@@ -191,11 +197,12 @@ def _dense_zeta(tables, phi_c):
     E = tables.E_table
     phi_at_sum = (d["coag_w1"] * phi_c[d["coag_l1"]]
                   + d["coag_w2"] * phi_c[d["coag_l2"]])
-    if tables.frag_parent is not None:
-        per = tables.frag_parent @ phi_c
+    prefix, parent = dense_fragments(tables)
+    if parent is not None:
+        per = parent @ phi_c
         phi_frag = per[:, None] + per[None, :]
     else:
-        pref = tables.frag_prefix @ phi_c
+        pref = prefix @ phi_c
         phi_frag = d["frag_w"] * (pref[d["frag_top"]]
                                   + d["frag_pw1"] * phi_c[d["frag_pl1"]]
                                   + d["frag_pw2"] * phi_c[d["frag_pl2"]])

@@ -5,7 +5,9 @@ from scipy.integrate import RK45, quad, solve_ivp
 
 import breakcoag as bc
 from breakcoag.errors import ConfigError
-from breakcoag.solver import _DP_A, _DP_E, _DP_P, _pair_deposits, _rhs
+from breakcoag.solver import (_DP_A, _DP_E, _DP_P, _frag_partial,
+                              _pair_deposits, _pow_integral, _remap_points,
+                              _rhs)
 
 
 def dense_deposits(tables):
@@ -17,13 +19,42 @@ def dense_deposits(tables):
                           tables.K_table > 0)
 
 
+def dense_fragments(tables):
+    """The dense fragment reference: ``prefix`` (N+1, N), whose row t holds
+    the fragment numbers deposited per unit scale from the sub-grid lump
+    and every complete cell below t, and, for a per-parent daughter,
+    ``parent`` (N, N), whose row i holds the deposits of one breakage of a
+    parent in cell i (None otherwise)."""
+    g = tables.grid
+    N = g.cell_count
+    nu = tables.daughter.nu
+    e = g.edges
+    gnum = (nu + 2.0) * _pow_integral(e[:-1], e[1:], nu + 1.0)
+    gmass = e[1:] ** (nu + 2.0) - e[:-1] ** (nu + 2.0)
+    l1, l2, w1, w2 = _remap_points(g.centers, gmass / gnum, gnum)
+    cells = np.zeros((N + 1, N))          # row k + 1: deposits of cell k
+    cells[0, 0] = e[0] ** (nu + 2.0) / g.centers[0]
+    np.add.at(cells, (np.arange(1, N + 1), l1), w1)
+    np.add.at(cells, (np.arange(1, N + 1), l2), w2)
+    prefix = np.cumsum(cells, axis=0)
+    if not tables.daughter.per_parent:
+        return prefix, None
+    t, pl1, pl2, pw1, pw2 = _frag_partial(tables.daughter, g, g.centers)
+    w = g.centers ** (-(nu + 1.0))
+    parent = prefix[t] * w[:, None]
+    np.add.at(parent, (np.arange(N), pl1), w * pw1)
+    np.add.at(parent, (np.arange(N), pl2), w * pw2)
+    return prefix, parent
+
+
 def _reference_rhs(tables, density):
-    """Slow evaluation straight from the dense per-pair tables; the
-    production path uses the stacked blocks and the packed remainder and
-    must agree."""
+    """Slow evaluation straight from the dense per-pair and fragment
+    tables; the production path uses the stacked blocks, the packed
+    remainder and the suffix sum and must agree."""
     g = tables.grid
     N = g.cell_count
     d = dense_deposits(tables)
+    prefix, parent = dense_fragments(tables)
     number = density * g.widths
     R = tables.K_table * np.outer(number, number)
     Rc = 0.5 * tables.E_table * R
@@ -31,13 +62,13 @@ def _reference_rhs(tables, density):
     gain = np.zeros(N)
     np.add.at(gain, d["coag_l1"].ravel(), (Rc * d["coag_w1"]).ravel())
     np.add.at(gain, d["coag_l2"].ravel(), (Rc * d["coag_w2"]).ravel())
-    if tables.frag_parent is not None:
-        gain += (2.0 * Rb.sum(axis=1)) @ tables.frag_parent
+    if parent is not None:
+        gain += (2.0 * Rb.sum(axis=1)) @ parent
     else:
         Q = Rb * d["frag_w"]
         T = np.zeros(N + 1)
         np.add.at(T, d["frag_top"].ravel(), Q.ravel())
-        gain += T @ tables.frag_prefix
+        gain += T @ prefix
         np.add.at(gain, d["frag_pl1"].ravel(), (Q * d["frag_pw1"]).ravel())
         np.add.at(gain, d["frag_pl2"].ravel(), (Q * d["frag_pw2"]).ravel())
     death = density * (tables.K_death @ number)
@@ -63,18 +94,32 @@ class TestBuildTables:
 
     def test_tables_built_with_pure_coagulation(self, small_grid):
         t = _tables(small_grid, prob=bc.ProbSpec.constant(1.0))
-        assert t.frag_prefix is not None   # tables exist, weights kill them
+        assert t.lump_w.any()              # tables exist, weights kill them
 
     def test_fragment_cell_oracle(self, small_grid):
-        t = _tables(small_grid, daughter=bc.DaughterSpec.uniform())
+        spec = bc.DaughterSpec.uniform()
         g = small_grid
-        i, j = 10, 40
-        s = g.centers[i] + g.centers[j]
-        nums = t.cell_fragment_numbers(i, j)
+        x, y = g.centers[10], g.centers[40]
+        s = x + y
         for k in (0, 5, 20):
-            lo, hi = g.edges[k], min(g.edges[k + 1], s)
+            lo, hi = min(g.edges[k], s), min(g.edges[k + 1], s)
+            num = (bc.partial_moment_integral(spec, 0.0, hi, x, y)
+                   - bc.partial_moment_integral(spec, 0.0, lo, x, y))
             oracle = quad(lambda z: 2.0 / s, lo, hi)[0] if hi > lo else 0.0
-            assert_allclose(nums[k], oracle, rtol=1e-12)
+            assert_allclose(num, oracle, rtol=1e-12)
+
+    def test_no_dense_table_beside_the_operator(self):
+        N = 200
+        g = bc.make_grid(1e-3, 1e3, N)
+        for daughter in (bc.DaughterSpec.power_total(0.0),
+                         bc.DaughterSpec.power_each(0.0)):
+            t = _tables(g, kernel=bc.KernelSpec.constant(1.0),
+                        daughter=daughter)
+            assert t.stack.shape == (N, 5 * N)
+            dense = {name for name, v in vars(t).items()
+                     if isinstance(v, np.ndarray)
+                     and sum(n >= N for n in v.shape) >= 2}
+            assert dense <= {"stack", "K_table", "K_death", "E_table"}
 
     def test_uniform_half_cell_integral(self):
         # destination cell (1, 2) for a pair with x + y = 4
