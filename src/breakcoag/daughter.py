@@ -235,11 +235,13 @@ class ProbSpec:
 
 
 def eval_E(spec: ProbSpec, x, y):
-    """Evaluate E(x, y); symmetric, in [0, 1]."""
+    """Evaluate E(x, y); symmetric, in [0, 1].  A constant E comes back as
+    a read-only zero-stride broadcast, holding no array of its shape."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if spec.form == "constant":
-        return np.full_like(x + y, spec.params["value"])
+        return np.broadcast_to(spec.params["value"],
+                               np.broadcast_shapes(x.shape, y.shape))
     if spec.form == "small_volume_floor":
         cut = spec.params["cut"]
         return np.where((x < cut) & (y < cut),

@@ -84,6 +84,9 @@ class KernelSpec:
             raise ConfigError(f"bg_ratio requires sigma in [0, 1), got {sigma}")
         if eta < 0.0:
             raise ConfigError(f"bg_ratio requires eta >= 0, got {eta}")
+        if 2.0 * eta - sigma > 2.0:
+            raise ConfigError(
+                f"bg_ratio requires 2 eta - sigma <= 2, got ({sigma}, {eta})")
         e = max(0.0, eta - sigma / 2.0)
         coeff = 2.0 ** (2.0 * eta)
         k2 = coeff if 2.0 * eta - sigma <= 1.0 else None

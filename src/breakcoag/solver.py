@@ -33,6 +33,9 @@ Design notes
   cell [e_j, c_j] bracketed at j - 1 and j), so its weights fill the same
   blocks over both triangles.  This is the only form of the operator:
   the weak-form residual reads its rates through the same ``_rates``.
+* ``build_tables`` walks the upper pair triangle in blocks of
+  ``_PAIR_BLOCK`` pairs, so its peak memory stays close to the bytes of
+  the tables it returns; the block size changes no bit of the tables.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ class OperatorTables:
     stack: np.ndarray                  # (N, 5N) weight blocks, death last
     K_table: np.ndarray                # gain kernel; K_death unless offgrid_loss
     K_death: np.ndarray                # death kernel, a view of the last block
-    E_table: np.ndarray
+    E_table: np.ndarray                # (N, N); zero-stride if E is constant
     rem_i: np.ndarray                  # (R,) pairs off the fixed offsets
     rem_j: np.ndarray
     rem_dest: np.ndarray               # (S, R) per stream; N + t is top cell t
@@ -201,17 +204,6 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         K_table = K_death
     del s
 
-    iu, ju = np.triu_indices(N)
-    K_pair = K_table[iu, ju]
-    E_pair = E_table[iu, ju]
-    dep = _pair_deposits(grid, daughter, c[iu] + c[ju], K_pair > 0)
-    # a diagonal pair is one collision type; an off-diagonal pair stands
-    # for both orders, each at half the rate
-    rate = np.where(iu == ju, 0.5, 1.0) * K_pair
-    coag = rate * E_pair
-    # (destination, weight, block); block b is regular at j + offset[b]
-    streams = [(dep["coag_l1"], coag * dep["coag_w1"], 0),
-               (dep["coag_l2"], coag * dep["coag_w2"], 1)]
     if daughter.per_parent:
         # both parents break, parent j like a pair of total size c_j; the
         # blocks are filled transposed, row j scaling parent j's K (1 - E)
@@ -224,28 +216,49 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         np.multiply(broken, scale * pw2[:, None], out=stack[:, :N].T)
         np.multiply(broken, scale * pw1[:, None], out=stack[:, 2 * N:3 * N].T)
         broken *= scale
-    else:
-        frag = rate * (1.0 - E_pair) * dep["frag_w"]
-        streams += [(dep["frag_pl2"], frag * dep["frag_pw2"], 0),
-                    (dep["frag_pl1"], frag * dep["frag_pw1"], 2),
-                    (N + dep["frag_top"], frag, 3)]
-    del dep, rate, coag, K_pair, E_pair
+    # blocks of _PAIR_BLOCK pairs in row-major order; row i starts at first[i]
     offset = (0, 1, -1, N)
-    regular = np.ones(iu.size, dtype=bool)
-    for dest, w, b in streams:
-        regular &= (w == 0.0) | (dest == ju + offset[b])
-    rows, cols = iu[regular], ju[regular]
-    for _, w, b in streams:
-        stack[rows, cols + b * N] += w[regular]
-    irregular = ~regular
+    first = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))
+    rem = {"rem_i": [], "rem_j": [], "rem_dest": [], "rem_w": []}
+    for p0 in range(0, first[-1], _PAIR_BLOCK):
+        p1 = min(p0 + _PAIR_BLOCK, first[-1])
+        i0 = np.searchsorted(first, p0, side="right") - 1
+        iu, ju = np.triu_indices(np.searchsorted(first, p1) - i0, k=i0, m=N)
+        pick = slice(p0 - first[i0], p1 - first[i0])
+        iu, ju = iu[pick] + i0, ju[pick]
+        K_pair = K_table[iu, ju]
+        dep = _pair_deposits(grid, daughter, c[iu] + c[ju], K_pair > 0)
+        # a diagonal pair is one collision type; an off-diagonal pair
+        # stands for both orders, each at half the rate
+        rate = np.where(iu == ju, 0.5, 1.0) * K_pair
+        coag = rate * E_table[iu, ju]
+        # (destination, weight, block); block b is regular at j + offset[b]
+        streams = [(dep["coag_l1"], coag * dep["coag_w1"], 0),
+                   (dep["coag_l2"], coag * dep["coag_w2"], 1)]
+        if not daughter.per_parent:
+            frag = rate * (1.0 - E_table[iu, ju]) * dep["frag_w"]
+            streams += [(dep["frag_pl2"], frag * dep["frag_pw2"], 0),
+                        (dep["frag_pl1"], frag * dep["frag_pw1"], 2),
+                        (N + dep["frag_top"], frag, 3)]
+        regular = np.ones(iu.size, dtype=bool)
+        for dest, w, b in streams:
+            regular &= (w == 0.0) | (dest == ju + offset[b])
+        rows, cols = iu[regular], ju[regular]
+        for _, w, b in streams:
+            stack[rows, cols + b * N] += w[regular]
+        irregular = ~regular
+        rem["rem_i"].append(iu[irregular])
+        rem["rem_j"].append(ju[irregular])
+        rem["rem_dest"].append(np.array([d[irregular] for d, _, _ in streams]))
+        rem["rem_w"].append(np.array([w[irregular] for _, w, _ in streams]))
+    # one field at a time, so the copy never doubles the whole remainder
+    for name in rem:
+        rem[name] = np.concatenate(rem[name], axis=-1)
     lump_src, lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, stack=stack,
-        K_table=K_table, K_death=K_death, E_table=E_table,
-        rem_i=iu[irregular], rem_j=ju[irregular],
-        rem_dest=np.array([dest[irregular] for dest, _, _ in streams]),
-        rem_w=np.array([w[irregular] for _, w, _ in streams]),
+        K_table=K_table, K_death=K_death, E_table=E_table, **rem,
         lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
 
 
@@ -312,6 +325,7 @@ class Trajectory:
     n_rejected: int
 
     def state(self, k: int) -> State:
+        """Output k as a State; the benchmark times ``apply_rhs`` on it."""
         return State(self.grid, self.densities[k], float(self.times[k]))
 
     def __len__(self) -> int:
@@ -348,6 +362,7 @@ _DP_P = np.array([
 # a looser limit on a step's clipped share lets it drift above rounding
 _CLIP_LIMIT = 1e-15
 _DT_MIN = 1e-12                      # step-size underflow guard, per horizon
+_PAIR_BLOCK = 2 ** 14                # upper-triangle pairs per build block
 
 
 def _clip(density: np.ndarray, grid: Grid):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +48,8 @@ class TestEvalKernel:
             bc.KernelSpec.sum_product(-0.6, 0.5)       # zeta <= -1/2
         with pytest.raises(ConfigError):
             bc.KernelSpec.bg_ratio(1.0, 1.0)           # sigma not in [0,1)
+        with pytest.raises(ConfigError):
+            bc.KernelSpec.bg_ratio(0.5, 2.0)           # 2 eta - sigma > 2
         with pytest.raises(ConfigError):
             bc.KernelSpec.constant(0.0)
 
@@ -142,7 +146,6 @@ _REFERENCE_STATUSES = {
     "bg_ratio(0.5,1)": (bc.KernelSpec.bg_ratio(0.5, 1.0), "pass n/a pass n/a"),
     "bg_ratio(0,0.5)": (bc.KernelSpec.bg_ratio(0.0, 0.5),
                         "pass pass pass n/a"),
-    "bg_ratio(0.5,2)": (bc.KernelSpec.bg_ratio(0.5, 2.0), "fail n/a n/a n/a"),
     "product": (bc.KernelSpec.product(), "pass n/a n/a n/a"),
     "additive": (bc.KernelSpec.additive(), "pass pass n/a pass"),
     "constant": (bc.KernelSpec.constant(), "pass pass pass n/a"),
@@ -213,6 +216,12 @@ class TestClassifyGrowth:
         for name in ("p2", "p3"):
             assert checks[name] == bc.CheckResult("pass", 0.0, None)
         assert checks["p1"].status == "pass"
+
+    def test_too_small_k1_fails_p1(self):
+        spec = dataclasses.replace(bc.KernelSpec.bg_ratio(0.5, 1.0),
+                                   declared_k1=0.1)
+        p1 = bc.classify_growth(spec)["p1"]
+        assert p1.status == "fail" and p1.residual > 0.0
 
     def test_table_kernel_witness_inside_its_box(self):
         spec = bc.KernelSpec.table(_TABLE_AXIS, 2.0 * _TABLE_AXIS,

@@ -41,8 +41,9 @@ def kernels(draw, x_max):
         zeta = draw(st.floats(-0.45, 0.5))
         return bc.KernelSpec.sum_product(zeta, draw(st.floats(zeta, 1.0)))
     if family == "bg_ratio":
-        return bc.KernelSpec.bg_ratio(draw(st.floats(0.0, 0.9)),
-                                      draw(st.floats(0.0, 1.5)))
+        sigma = draw(st.floats(0.0, 0.9))
+        return bc.KernelSpec.bg_ratio(sigma,
+                                      draw(st.floats(0.0, 1.0 + sigma / 2.0)))
     if family == "table":
         axis = np.geomspace(X_MIN, x_max, 5)
         upper = draw(st.lists(nonnegative(10.0), min_size=15, max_size=15))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import RK45, quad, solve_ivp
 
 import breakcoag as bc
+from breakcoag import solver
 from breakcoag.errors import ConfigError
 from breakcoag.solver import (_DP_A, _DP_E, _DP_P, _frag_partial,
                               _pair_deposits, _pow_integral, _remap_points,
@@ -120,6 +123,58 @@ class TestBuildTables:
                      if isinstance(v, np.ndarray)
                      and sum(n >= N for n in v.shape) >= 2}
             assert dense <= {"stack", "K_table", "K_death", "E_table"}
+            # a constant E is a zero-stride view, not an (N, N) buffer
+            assert t.E_table.strides == (0, 0)
+            assert not t.E_table.flags.writeable
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"daughter": bc.DaughterSpec.power_each(0.0),
+         "kernel": bc.KernelSpec.constant(1.0)},
+        {"daughter": bc.DaughterSpec.uniform()},
+        {"offgrid_loss": True, "kernel": bc.KernelSpec.product()},
+        {"kernel": bc.KernelSpec.sum_product(-0.25, 0.5),
+         "prob": bc.ProbSpec.small_volume_floor(0.6, 0.2, 0.3905)},
+    ], ids=["power_total", "power_each", "uniform", "offgrid_loss",
+            "singular"])
+    def test_pair_block_size_does_not_matter(self, small_grid, monkeypatch,
+                                             kw):
+        # 5050 pairs: blocks of 7 end mid-row, and the last holds 3 pairs
+        one = _tables(small_grid, **kw)
+        monkeypatch.setattr(solver, "_PAIR_BLOCK", 7)
+        blocked = _tables(small_grid, **kw)
+        for name, v in vars(one).items():
+            if isinstance(v, np.ndarray):
+                w = getattr(blocked, name)
+                assert v.dtype == w.dtype and np.array_equal(v, w), name
+        if kw.get("offgrid_loss"):
+            state = bc.sample_initial(bc.InitialCondition.exponential(1.0),
+                                      small_grid)
+            control = bc.StepControl(t_end=0.5, output_times=(0.25,))
+            assert np.array_equal(bc.integrate(one, state, control).densities,
+                                  bc.integrate(blocked, state,
+                                               control).densities)
+
+    @pytest.mark.parametrize("daughter", [bc.DaughterSpec.power_total(0.0),
+                                          bc.DaughterSpec.power_each(0.0)],
+                             ids=["power_total", "power_each"])
+    def test_build_peak_close_to_table_bytes(self, daughter):
+        # tracemalloc sees numpy's buffers; RSS would add allocator noise
+        g = bc.make_grid(1e-4, 1e3, 800)
+        tracemalloc.start()
+        try:
+            t = _tables(g, daughter=daughter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        roots = {}
+        for v in vars(t).values():
+            if isinstance(v, np.ndarray):
+                while v.base is not None:
+                    v = v.base
+                roots[id(v)] = v
+        held = sum(a.nbytes for a in roots.values())
+        assert peak <= 1.4 * held
 
     def test_uniform_half_cell_integral(self):
         # destination cell (1, 2) for a pair with x + y = 4
@@ -326,6 +381,19 @@ class TestStepAndIntegrate:
                        {"t_end": 0.0}, {"t_end": np.inf}, {"t_end": np.nan}):
             with pytest.raises(ConfigError):
                 bc.StepControl(**kwargs)
+
+
+class TestTrajectory:
+    def test_state_is_one_output(self, small_grid):
+        t = _tables(small_grid)
+        state = bc.sample_initial(bc.InitialCondition.exponential(1.0),
+                                  small_grid)
+        traj = bc.integrate(t, state, bc.StepControl(
+            t_end=0.5, output_times=(0.25,)))
+        out = traj.state(1)
+        assert out.grid is small_grid and out.time == 0.25
+        assert np.array_equal(out.density, traj.densities[1])
+        assert np.array_equal(bc.apply_rhs(t, out), _rhs(t, out.density))
 
 
 class TestWeakFormResidual:
