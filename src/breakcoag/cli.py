@@ -148,13 +148,22 @@ def _options(n_trunc=None, offgrid_loss=False, mass_tol=1e-8,
     if not isinstance(offgrid_loss, bool):
         raise ConfigError("offgrid_loss in options must be true or false, "
                           f"got {offgrid_loss!r}")
-    return {"n_trunc": None if n_trunc is None else float(n_trunc),
+    opts = {"n_trunc": None if n_trunc is None else float(n_trunc),
             "moment_orders": None if moment_orders is None
             else [float(m) for m in moment_orders],
             "offgrid_loss": offgrid_loss, "mass_tol": float(mass_tol),
             "gel_threshold": float(gel_threshold), "theta": float(theta),
             "perturbation": float(perturbation),
             "sweep_E": [float(v) for v in sweep_E]}
+    for name, ok, needs in (
+            ("mass_tol", 0 < opts["mass_tol"] < np.inf, "positive and finite"),
+            ("gel_threshold", 0 < opts["gel_threshold"] < 1, "in (0, 1)"),
+            ("moment_orders", np.isfinite(opts["moment_orders"] or 0.0).all(),
+             "finite")):
+        if not ok:
+            raise ConfigError(f"{name} in options must be {needs}, "
+                              f"got {opts[name]!r}")
+    return opts
 
 
 def _build_control(cfg: dict) -> StepControl:
@@ -330,7 +339,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
         orders = opts["moment_orders"]
         if orders is None:
             orders = [-2.0 * alpha, -alpha, 0.0, 1.0, 2.0]
-        orders = sorted(set(orders) | {0.0, 1.0})
+        # + 0.0 turns an order -0.0 (of -alpha at alpha = 0) into 0.0
+        orders = sorted({m + 0.0 for m in orders} | {0.0, 1.0})
         series = moment_series(trajectory, orders)
 
     results = {}

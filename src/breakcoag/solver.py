@@ -23,19 +23,22 @@ Design notes
   coalescence brackets at j and j + 1, partial fragment cell brackets at
   j - 1 and j, fragment top cell j.  There a stream's gain is
   ``n_j (M^T n)_j`` for its per-pair weights M, so ``stack`` holds five
-  (N, N) weight blocks, for every daughter family: gain at j, j + 1 and
-  j - 1, top cell j, and last ``K_death^T``.  One GEMV ``number @ stack``
-  plus shifted adds applies them; other pairs stay packed in ``rem_*``
-  for one ``bincount``.  The top-cell stream deposits every complete cell
-  below the top: a suffix sum of it over the cells, applied to the O(N)
-  per-lump table ``lump_*``.  Under ``power_each`` both parents of a pair
-  break, parent j like a pair of total size c_j (top cell j, partial
-  cell [e_j, c_j] bracketed at j - 1 and j), so its weights fill the same
-  blocks over both triangles.  This is the only form of the operator:
-  the weak-form residual reads its rates through the same ``_rates``.
-* ``build_tables`` walks the upper pair triangle in blocks of
-  ``_PAIR_BLOCK`` pairs, so its peak memory stays close to the bytes of
-  the tables it returns; the block size changes no bit of the tables.
+  (N, N) weight blocks: gain at j, j + 1 and j - 1, top cell j, and last
+  ``K_death^T``.  One GEMV ``number @ stack`` plus shifted adds applies
+  them; other pairs stay packed in ``rem_*`` for one ``bincount``.  The
+  top-cell stream deposits every complete cell below the top: a suffix
+  sum of it over the cells, applied to the O(N) per-lump table
+  ``lump_*``.  Under ``power_each`` parent j of each pair breaks at one
+  rate ``n_j sum_i n_i K_ji (1 - E_ji)``, like a pair of total size c_j
+  (top cell j, partial cell [e_j, c_j] bracketed at j - 1 and j).  The
+  (3, N) ``parent_w`` spreads it, read from a breakage block
+  ``(K_table (1 - E))^T`` after the two coalescence blocks, or from the
+  death block if the kernel is capped and E constant (1 - E then rides in
+  ``parent_w``).  This is the only form of the operator: the weak-form
+  residual reads its rates through the same ``_rates``.
+* ``build_tables`` works in row blocks of the kernel and in blocks of
+  ``_PAIR_BLOCK`` upper-triangle pairs, so its peak memory stays close to
+  the table bytes; the block size changes no bit of the tables.
 """
 
 from __future__ import annotations
@@ -120,10 +123,11 @@ class OperatorTables:
     prob: ProbSpec
     n_trunc: float
     offgrid_loss: bool
-    stack: np.ndarray                  # (N, 5N) weight blocks, death last
+    stack: np.ndarray                  # (N, 5N); per-parent (N, 3N) or (N, 4N)
     K_table: np.ndarray                # gain kernel; K_death unless offgrid_loss
     K_death: np.ndarray                # death kernel, a view of the last block
     E_table: np.ndarray                # (N, N); zero-stride if E is constant
+    parent_w: np.ndarray | None        # per-parent (3, N): cells j, j - 1, top j
     rem_i: np.ndarray                  # (R,) pairs off the fixed offsets
     rem_j: np.ndarray
     rem_dest: np.ndarray               # (S, R) per stream; N + t is top cell t
@@ -185,37 +189,38 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
             "simulation requires a finite fragment count (daughter exponent > -1)")
     c = grid.centers
     N = c.size
-    X, Y = c[:, None], c[None, :]
-    s = X + Y
-    E_table = np.asarray(eval_E(prob, X, Y), dtype=float)
-    stack = np.zeros((N, 5 * N))
+    E_table = np.asarray(eval_E(prob, c[:, None], c[None, :]), dtype=float)
+    fold = daughter.per_parent and prob.form == "constant" and not offgrid_loss
+    stack = np.zeros((N, (3 if fold else 4 if daughter.per_parent else 5) * N))
     K_death = stack[:, -N:].T
-    K_death[...] = eval_kernel(kernel, X, Y)
     # offgrid_loss drops the rate cap and keeps the raw kernel in the loss
     # term: pairs whose product leaves the grid still collide but produce
     # nothing representable, so mass genuinely leaks to large sizes — the
     # configuration used to observe gelation.  The default caps and cuts
     # both terms identically, which conserves mass exactly.
-    if offgrid_loss:
-        K_table = np.where(s < n_trunc, K_death, 0.0)
-    else:
-        np.minimum(K_death, n_trunc, out=K_death)
-        K_death[s >= n_trunc] = 0.0
-        K_table = K_death
-    del s
+    K_table = np.empty((N, N)) if offgrid_loss else K_death
+    step = max(1, _PAIR_BLOCK // N)
+    for r in range(0, N, step):
+        x, K = c[r:r + step, None], K_death[r:r + step]
+        K[...] = eval_kernel(kernel, x, c)
+        if offgrid_loss:
+            K_table[r:r + step] = np.where(x + c < n_trunc, K, 0.0)
+        else:
+            np.minimum(K, n_trunc, out=K)
+            K[x + c >= n_trunc] = 0.0
 
+    parent_w = None
     if daughter.per_parent:
-        # both parents break, parent j like a pair of total size c_j; the
-        # blocks are filled transposed, row j scaling parent j's K (1 - E)
+        # parent j spreads its fragments like a pair of total size c_j
         _, _, _, pw1, pw2 = _frag_partial(daughter, grid, c)
         pw2[0], pw1[0] = pw1[0] + pw2[0], 0.0     # parent 0: cell 0 alone
-        scale = c[:, None] ** (-(daughter.nu + 1.0))
-        broken = stack[:, 3 * N:4 * N].T
-        np.subtract(1.0, E_table, out=broken)
-        broken *= K_table
-        np.multiply(broken, scale * pw2[:, None], out=stack[:, :N].T)
-        np.multiply(broken, scale * pw1[:, None], out=stack[:, 2 * N:3 * N].T)
-        broken *= scale
+        parent_w = np.array([pw2, pw1, np.ones(N)]) * c ** (-(daughter.nu + 1.0))
+        if fold:
+            parent_w *= 1.0 - E_table[0, 0]
+        else:
+            broken = stack[:, 2 * N:3 * N].T
+            np.subtract(1.0, E_table, out=broken)
+            broken *= K_table
     # blocks of _PAIR_BLOCK pairs in row-major order; row i starts at first[i]
     offset = (0, 1, -1, N)
     first = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))
@@ -258,8 +263,8 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, stack=stack,
-        K_table=K_table, K_death=K_death, E_table=E_table, **rem,
-        lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
+        K_table=K_table, K_death=K_death, E_table=E_table, parent_w=parent_w,
+        **rem, lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
 
 
 def _rates(tables: OperatorTables, density: np.ndarray):
@@ -269,6 +274,11 @@ def _rates(tables: OperatorTables, density: np.ndarray):
     number = density * g.widths
     v = (number @ tables.stack).reshape(-1, N)
     u = number * v[:-1]
+    if tables.parent_w is not None:
+        # n_j v[2]_j breaks parent j: v[2] is K (1 - E) n, or K n with the
+        # constant 1 - E in parent_w
+        w = tables.parent_w * (number * v[2])
+        u = np.array([u[0] + w[0], u[1], w[1], w[2]])
     P = number[tables.rem_i] * number[tables.rem_j]
     # an empty bincount comes back as integers
     out = np.bincount(tables.rem_dest.ravel(), (tables.rem_w * P).ravel(),

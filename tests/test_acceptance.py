@@ -3,6 +3,7 @@
 """
 
 import math
+from array import array
 
 import numpy as np
 from scipy.integrate import quad
@@ -91,6 +92,17 @@ def test_criterion_04_threshold_formulas():
              f"worst deviation {worst:.3e} <= 1e-12 over 100 draws per route")
 
 
+def _b_float(spec, z, x, y):
+    """``bc.eval_b`` at one node in plain floats: a numpy call per
+    quadrature node would take most of the test's time."""
+    nu = spec.nu
+    if spec.per_parent:
+        return sum(((nu + 2.0) * z ** nu / q ** (nu + 1.0)
+                    for q in (x, y) if 0.0 < z < q), 0.0)
+    s = x + y
+    return (nu + 2.0) * z ** nu / s ** (nu + 1.0) if 0.0 < z < s else 0.0
+
+
 def test_criterion_05_daughter_constants():
     rng = np.random.default_rng(7)
     families = (bc.DaughterSpec.uniform(),
@@ -108,26 +120,39 @@ def test_criterion_05_daughter_constants():
             np.max(np.abs(got - (xs + ys)) / (xs + ys))))
 
     quad_worst = 0.0
+    nodes = [array("d") for _ in families]     # (z, x, y, b) per evaluation
     for k in range(xs.size):
-        spec = families[k % len(families)]
+        spec, seen = families[k % len(families)], nodes[k % len(families)]
         x, y = float(xs[k]), float(ys[k])
         for m in (-0.4, -0.25, 0.0, 0.5, 1.0):
             if m <= -(spec.nu + 1.0):
                 continue
             # substitute z = s**p so the integrand is regular at the origin
             p = max(1.0, math.ceil(2.0 / (m + spec.nu + 1.0)))
+
+            def integrand(s):
+                z = s ** p
+                b = _b_float(spec, z, x, y)
+                seen.extend((z, x, y, b))
+                return p * s ** (p - 1.0) * s ** (p * m) * b
+
             oracle = quad(
-                lambda s: (p * s ** (p - 1.0) * s ** (p * m)
-                           * float(bc.eval_b(spec, s ** p, x, y))),
-                0.0, (x + y) ** (1.0 / p),
+                integrand, 0.0, (x + y) ** (1.0 / p),
                 points=[min(x, y) ** (1.0 / p), max(x, y) ** (1.0 / p)],
                 limit=200, epsabs=0.0, epsrel=1e-11)[0]
             rel = abs(float(bc.moment_integral(spec, m, x, y)) - oracle) / oracle
             quad_worst = max(quad_worst, rel)
-    ok = quad_worst <= 1e-8 and mass_worst <= 1e-12
+    # the quadratures integrate the float form; it is eval_b at their nodes
+    form_worst = 0.0
+    for spec, seen in zip(families, nodes):
+        z, x, y, b = np.frombuffer(seen).reshape(-1, 4).T
+        form_worst = max(form_worst, float(np.max(
+            np.abs(bc.eval_b(spec, z, x, y) - b) / np.where(b > 0, b, 1.0))))
+    ok = quad_worst <= 1e-8 and mass_worst <= 1e-12 and form_worst <= 1e-14
     _verdict(5, "daughter closed forms", ok,
              f"quadrature mismatch {quad_worst:.3e} <= 1e-8; "
-             f"mass identity {mass_worst:.3e} <= 1e-12")
+             f"mass identity {mass_worst:.3e} <= 1e-12; "
+             f"float form of b {form_worst:.3e} <= 1e-14")
 
 
 def test_criterion_06_apriori_bounds(linear_scenario):

@@ -163,7 +163,12 @@ class TestMain:
         "options.n_trunc=0", "options.n_trunc=-5", "options.n_trunc=abc",
         "options.mass_tol=x", "options.moment_orders=5", "options.sweep_E=3",
         "options.offgrid_loss=maybe", "options.theta=abc",
-        "options.perturbation=x", "options.gel_threshold=x"])
+        "options.perturbation=x", "options.gel_threshold=x",
+        "options.mass_tol=-1", "options.mass_tol=0", "options.mass_tol=NaN",
+        "options.mass_tol=Infinity", "options.gel_threshold=-1",
+        "options.gel_threshold=0", "options.gel_threshold=1",
+        "options.gel_threshold=NaN", "options.moment_orders=[NaN]",
+        "options.moment_orders=[1,Infinity]"])
     def test_malformed_value_exit_two(self, tmp_path, override):
         out = tmp_path / "results"
         code = cli.main(["run", _write(tmp_path, MINIMAL), "--out", str(out),
@@ -376,9 +381,19 @@ class TestReadme:
     def test_readme_example_runs(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(_readme_block("json"))
-        code = cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+        out = tmp_path / "out"
+        code = cli.main(["run", str(path), "--out", str(out),
                          "--override", "control.t_end=0.5"])
         assert code == 0
+        # the kernel's alpha is 0, so the orders -2 alpha and -alpha are
+        # -0.0: they must head the number moment as M_0
+        lines = (out / "moments.csv").read_text().splitlines()[1:]
+        header = lines[0].split(",")
+        assert "M_-0" not in header
+        m0 = float(lines[1].split(",")[header.index("M_0")])
+        first = np.loadtxt(out / "trajectory_0000.csv", delimiter=",",
+                           skiprows=2)
+        assert m0 == pytest.approx(first[:, 1] @ first[:, 2], rel=1e-12)
 
     def test_readme_example_integration_failure_exit_three(self, tmp_path,
                                                             capsys):

@@ -140,15 +140,26 @@ def test_rhs_matches_dense_reference(case):
 def test_blocks_and_remainder_carry_each_pair_once(case):
     tables, _ = case
     N = tables.grid.cell_count
-    blocks = tables.stack.reshape(N, 5, N).transpose(1, 0, 2)
+    blocks = tables.stack.reshape(N, -1, N).transpose(1, 0, 2)
+    # (weights, offset): column j of the weights deposits at j + offset
+    if tables.parent_w is None:
+        placed = zip(blocks[:-1], (0, 1, -1, N))
+    else:
+        # parent j breaks at rate n_j (n @ blocks[2])_j and spreads it by
+        # its weights: partial cell at j and j - 1, top cell j
+        fold = tables.prob.form == "constant" and not tables.offgrid_loss
+        assert len(blocks) == (3 if fold else 4)
+        placed = [(blocks[0], 0), (blocks[1], 1)] + [
+            (blocks[2] * w, offset)
+            for w, offset in zip(tables.parent_w, (0, -1, N))]
     got = np.zeros((N, N, 2 * N + 1))      # N + t is the top cell t
-    for b, offset in enumerate((0, 1, -1, N)):
+    for weights, offset in placed:
         lo, hi = (N, 2 * N) if offset == N else (0, N - 1)
         for j in range(N):
             if lo <= j + offset <= hi:
-                got[:, j, j + offset] += blocks[b][:, j]
+                got[:, j, j + offset] += weights[:, j]
             else:
-                assert not blocks[b][:, j].any()
+                assert not weights[:, j].any()
     for dest, w in zip(tables.rem_dest, tables.rem_w):
         np.add.at(got, (tables.rem_i, tables.rem_j, dest), w)
     # entries (i, j) and (j, i) carry the same pair
@@ -182,7 +193,12 @@ def test_no_fragment_gain_when_E_is_one(case):
     assert np.all(np.abs(_rhs(tables, density) - _rhs(coag_only, density))
                   <= 1e-12 * scale)
     N = tables.grid.cell_count
-    assert not tables.stack[:, 2 * N:-N].any()
+    if tables.parent_w is None:
+        assert not tables.stack[:, 2 * N:-N].any()
+    elif tables.stack.shape[1] == 3 * N:
+        assert not tables.parent_w.any()       # the weights carry 1 - E
+    else:
+        assert not tables.stack[:, 2 * N:3 * N].any()   # the breakage block
     assert not tables.rem_w[2:].any()
 
 

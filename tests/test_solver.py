@@ -114,11 +114,12 @@ class TestBuildTables:
     def test_no_dense_table_beside_the_operator(self):
         N = 200
         g = bc.make_grid(1e-3, 1e3, N)
-        for daughter in (bc.DaughterSpec.power_total(0.0),
-                         bc.DaughterSpec.power_each(0.0)):
+        # per-parent breakage reads the death product: no fragment blocks
+        for daughter, blocks in ((bc.DaughterSpec.power_total(0.0), 5),
+                                 (bc.DaughterSpec.power_each(0.0), 3)):
             t = _tables(g, kernel=bc.KernelSpec.constant(1.0),
                         daughter=daughter)
-            assert t.stack.shape == (N, 5 * N)
+            assert t.stack.shape == (N, blocks * N)
             dense = {name for name, v in vars(t).items()
                      if isinstance(v, np.ndarray)
                      and sum(n >= N for n in v.shape) >= 2}
@@ -155,15 +156,20 @@ class TestBuildTables:
                                   bc.integrate(blocked, state,
                                                control).densities)
 
-    @pytest.mark.parametrize("daughter", [bc.DaughterSpec.power_total(0.0),
-                                          bc.DaughterSpec.power_each(0.0)],
-                             ids=["power_total", "power_each"])
-    def test_build_peak_close_to_table_bytes(self, daughter):
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"daughter": bc.DaughterSpec.power_each(0.0)},
+        {"daughter": bc.DaughterSpec.power_each(0.0),
+         "prob": bc.ProbSpec.small_volume_floor(0.6, 0.2, 0.3905)},
+        {"daughter": bc.DaughterSpec.power_each(0.0), "offgrid_loss": True},
+    ], ids=["power_total", "power_each", "power_each-floor",
+            "power_each-offgrid_loss"])
+    def test_build_peak_close_to_table_bytes(self, kw):
         # tracemalloc sees numpy's buffers; RSS would add allocator noise
         g = bc.make_grid(1e-4, 1e3, 800)
         tracemalloc.start()
         try:
-            t = _tables(g, daughter=daughter)
+            t = _tables(g, **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -212,6 +218,10 @@ class TestApplyRhs:
                    {"daughter": bc.DaughterSpec.power_total(-0.5)},
                    {"daughter": bc.DaughterSpec.power_each(0.0),
                     "kernel": bc.KernelSpec.constant(1.0)},
+                   {"daughter": bc.DaughterSpec.power_each(0.5),
+                    "prob": bc.ProbSpec.small_volume_floor(0.6, 0.2, 0.3905)},
+                   {"daughter": bc.DaughterSpec.power_each(0.0),
+                    "kernel": bc.KernelSpec.product(), "offgrid_loss": True},
                    {"prob": bc.ProbSpec.constant(1.0)}):
             t = _tables(small_grid, **kw)
             assert_allclose(_rhs(t, f), _reference_rhs(t, f),
