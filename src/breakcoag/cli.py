@@ -159,7 +159,12 @@ def _options(n_trunc=None, offgrid_loss=False, mass_tol=1e-8,
             ("mass_tol", 0 < opts["mass_tol"] < np.inf, "positive and finite"),
             ("gel_threshold", 0 < opts["gel_threshold"] < 1, "in (0, 1)"),
             ("moment_orders", np.isfinite(opts["moment_orders"] or 0.0).all(),
-             "finite")):
+             "finite"),
+            ("theta", 0 < opts["theta"] < 1, "in (0, 1)"),
+            ("perturbation", 0 < opts["perturbation"] < np.inf,
+             "positive and finite"),
+            ("sweep_E", all(0 <= E <= 1 for E in opts["sweep_E"]),
+             "in [0, 1]")):
         if not ok:
             raise ConfigError(f"{name} in options must be {needs}, "
                               f"got {opts[name]!r}")

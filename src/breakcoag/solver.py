@@ -18,27 +18,30 @@ Design notes
   With ``offgrid_loss=True`` pairs whose product exceeds the grid still
   collide (capped kernel, no pair-sum cutoff) but produce nothing on the
   grid — the configuration used to observe gelation as genuine mass loss.
-* Operator layout.  Away from the diagonal band and the grid top, a pair
-  (i <= j) deposits at fixed offsets from the larger partner's cell j:
-  coalescence brackets at j and j + 1, partial fragment cell brackets at
-  j - 1 and j, fragment top cell j.  There a stream's gain is
-  ``n_j (M^T n)_j`` for its per-pair weights M, so ``stack`` holds five
-  (N, N) weight blocks: gain at j, j + 1 and j - 1, top cell j, and last
-  ``K_death^T``.  One GEMV ``number @ stack`` plus shifted adds applies
-  them; other pairs stay packed in ``rem_*`` for one ``bincount``.  The
-  top-cell stream deposits every complete cell below the top: a suffix
-  sum of it over the cells, applied to the O(N) per-lump table
-  ``lump_*``.  Under ``power_each`` parent j of each pair breaks at one
-  rate ``n_j sum_i n_i K_ji (1 - E_ji)``, like a pair of total size c_j
-  (top cell j, partial cell [e_j, c_j] bracketed at j - 1 and j).  The
-  (3, N) ``parent_w`` spreads it, read from a breakage block
-  ``(K_table (1 - E))^T`` after the two coalescence blocks, or from the
-  death block if the kernel is capped and E constant (1 - E then rides in
-  ``parent_w``).  This is the only form of the operator: the weak-form
-  residual reads its rates through the same ``_rates``.
+* Operator layout.  A pair (i <= j) deposits through streams: coalescence
+  brackets, partial fragment cell brackets, fragment top cell.  Away from
+  the diagonal they sit at fixed offsets from the larger partner's cell j
+  (j and j + 1, j - 1 and j, top j), so ``stack`` holds five (N, N) weight
+  blocks (gain at j, j + 1 and j - 1, top cell j, last ``K_death^T``) and
+  one GEMV ``number @ stack`` plus shifted adds applies them.  On the
+  first D diagonals d = j - i a bracket pair lands at a shift of j set by
+  d alone (clamped at the grid top): the band ``band_w`` holds it by
+  destination, applied by one gather, ``einsum`` and ``bincount``.  D and
+  the shifts depend on the grid, daughter and ``n_trunc`` only; pairs off
+  both rules stay packed in ``rem_*``.  The top-cell stream deposits every
+  complete cell below the top: a suffix sum over the cells, applied to
+  the O(N) per-lump table ``lump_*``.  Under ``power_each`` parent j of
+  each pair breaks at one rate ``n_j sum_i n_i K_ji (1 - E_ji)``, like a
+  pair of total size c_j (top cell j, partial cell [e_j, c_j] bracketed
+  at j - 1 and j), spread by the (3, N) ``parent_w`` from a breakage
+  block ``(K_table (1 - E))^T``, or from the death block if the kernel is
+  capped and E constant (1 - E then rides in ``parent_w``).  This is the
+  only form of the operator: the weak-form residual reads its rates
+  through the same ``_rates``.
 * ``build_tables`` works in row blocks of the kernel and in blocks of
-  ``_PAIR_BLOCK`` upper-triangle pairs, so its peak memory stays close to
-  the table bytes; the block size changes no bit of the tables.
+  ``_PAIR_BLOCK`` pairs along the diagonals, filling the tables in place,
+  so its peak memory stays close to the table bytes; the block size
+  changes no bit of the tables.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .daughter import DaughterSpec, ProbSpec, eval_E
 from .errors import ConfigError, IntegrationError
@@ -84,31 +88,13 @@ def _remap_points(centers, zbar, num):
     n = centers.size
     j = np.searchsorted(centers, zbar)
     interior = (j > 0) & (j < n)
-    jl = np.clip(j - 1, 0, n - 1)
-    jr = np.clip(j, 0, n - 1)
+    jl = np.maximum(j - 1, 0)              # 0 <= j <= n
+    jr = np.minimum(j, n - 1)
     gap = centers[jr] - centers[jl]
     gap = np.where(gap > 0, gap, 1.0)
     w2 = np.where(interior, num * (zbar - centers[jl]) / gap, 0.0)
     w1 = np.where(interior, num - w2, num * zbar / centers[jl])
     return jl, jr, w1, w2
-
-
-def _pair_deposits(grid: Grid, daughter: DaughterSpec, s: np.ndarray,
-                   active: np.ndarray) -> dict:
-    """Deposit tables for pairs of total size ``s`` (any shape): the
-    coalescence brackets and number weights ``coag_*`` (weights zero where
-    not ``active``) and, unless the daughter is per-parent, the fragment
-    top cell, scale and partial-cell brackets and weights ``frag_*``."""
-    l1, l2, w1, w2 = _remap_points(grid.centers, s, np.ones_like(s))
-    tables = {"coag_l1": l1, "coag_l2": l2,
-              "coag_w1": np.where(active, w1, 0.0),
-              "coag_w2": np.where(active, w2, 0.0)}
-    if daughter.per_parent:
-        return tables
-    top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, s)
-    return tables | {"frag_top": top, "frag_w": s ** (-(daughter.nu + 1.0)),
-                     "frag_pl1": pl1, "frag_pl2": pl2,
-                     "frag_pw1": pw1, "frag_pw2": pw2}
 
 
 @dataclass(frozen=True)
@@ -128,7 +114,10 @@ class OperatorTables:
     K_death: np.ndarray                # death kernel, a view of the last block
     E_table: np.ndarray                # (N, N); zero-stride if E is constant
     parent_w: np.ndarray | None        # per-parent (3, N): cells j, j - 1, top j
-    rem_i: np.ndarray                  # (R,) pairs off the fixed offsets
+    band_w: np.ndarray                 # (G, 2, D, N + span) bracket pairs
+    band_shift: np.ndarray             # (G, D) lower bracket minus j
+    band_dest: np.ndarray              # (G, 2, N + span) clamped at the top
+    rem_i: np.ndarray                  # (R,) boundary pairs off both rules
     rem_j: np.ndarray
     rem_dest: np.ndarray               # (S, R) per stream; N + t is top cell t
     rem_w: np.ndarray                  # (S, R) per-pair weights
@@ -157,7 +146,7 @@ def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
     """Top-cell index and remapped partial-cell deposit for total sizes s."""
     nu = daughter.nu
     e = grid.edges
-    t = np.clip(np.searchsorted(e, s, side="right") - 1, 0, grid.cell_count)
+    t = np.maximum(np.searchsorted(e, s, side="right") - 1, 0)
     lo = e[np.minimum(t, grid.cell_count - 1)]
     inside = (t < grid.cell_count) & (s > lo)
     lo_s = np.where(inside, lo, 1.0)
@@ -174,8 +163,8 @@ def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
 def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
                  daughter: DaughterSpec, prob: ProbSpec,
                  offgrid_loss: bool = False) -> OperatorTables:
-    """Precompute the weight blocks and remainder for the truncated system,
-    whose kernel ``K_table`` is ``min(K, n_trunc)`` (uncapped with
+    """Precompute the weight blocks, band and boundary pairs of the
+    truncated system, whose kernel ``K_table`` is ``min(K, n_trunc)`` (uncapped with
     ``offgrid_loss``) where ``x + y < n_trunc`` and 0 elsewhere."""
     if not 0 < n_trunc <= grid.x_max:
         raise ConfigError("truncation level must be positive and at most "
@@ -221,50 +210,77 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
             broken = stack[:, 2 * N:3 * N].T
             np.subtract(1.0, E_table, out=broken)
             broken *= K_table
-    # blocks of _PAIR_BLOCK pairs in row-major order; row i starts at first[i]
-    offset = (0, 1, -1, N)
-    first = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))
-    rem = {"rem_i": [], "rem_j": [], "rem_dest": [], "rem_w": []}
-    for p0 in range(0, first[-1], _PAIR_BLOCK):
-        p1 = min(p0 + _PAIR_BLOCK, first[-1])
-        i0 = np.searchsorted(first, p0, side="right") - 1
-        iu, ju = np.triu_indices(np.searchsorted(first, p1) - i0, k=i0, m=N)
-        pick = slice(p0 - first[i0], p1 - first[i0])
-        iu, ju = iu[pick] + i0, ju[pick]
-        K_pair = K_table[iu, ju]
-        dep = _pair_deposits(grid, daughter, c[iu] + c[ju], K_pair > 0)
+
+    def streams(iu, ju):
+        """(destination, weight, live, block) per stream of pairs iu <= ju;
+        ``live``: the weights that geometry and n_trunc leave non-zero."""
+        s = c[iu] + c[ju]
+        live = s < n_trunc
+        l1, l2, w1, w2 = _remap_points(c, s, np.ones_like(s))
         # a diagonal pair is one collision type; an off-diagonal pair
         # stands for both orders, each at half the rate
-        rate = np.where(iu == ju, 0.5, 1.0) * K_pair
+        rate = np.where(iu == ju, 0.5, 1.0) * K_table[iu, ju]
         coag = rate * E_table[iu, ju]
-        # (destination, weight, block); block b is regular at j + offset[b]
-        streams = [(dep["coag_l1"], coag * dep["coag_w1"], 0),
-                   (dep["coag_l2"], coag * dep["coag_w2"], 1)]
+        out = [(l1, coag * w1, live & (w1 != 0), 0),
+               (l2, coag * w2, live & (w2 != 0), 1)]
         if not daughter.per_parent:
-            frag = rate * (1.0 - E_table[iu, ju]) * dep["frag_w"]
-            streams += [(dep["frag_pl2"], frag * dep["frag_pw2"], 0),
-                        (dep["frag_pl1"], frag * dep["frag_pw1"], 2),
-                        (N + dep["frag_top"], frag, 3)]
-        regular = np.ones(iu.size, dtype=bool)
-        for dest, w, b in streams:
-            regular &= (w == 0.0) | (dest == ju + offset[b])
-        rows, cols = iu[regular], ju[regular]
-        for _, w, b in streams:
-            stack[rows, cols + b * N] += w[regular]
-        irregular = ~regular
-        rem["rem_i"].append(iu[irregular])
-        rem["rem_j"].append(ju[irregular])
-        rem["rem_dest"].append(np.array([d[irregular] for d, _, _ in streams]))
-        rem["rem_w"].append(np.array([w[irregular] for _, w, _ in streams]))
-    # one field at a time, so the copy never doubles the whole remainder
-    for name in rem:
-        rem[name] = np.concatenate(rem[name], axis=-1)
+            top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, s)
+            frag = rate * (1.0 - E_table[iu, ju]) * s ** (-(daughter.nu + 1.0))
+            out += [(pl1, frag * pw1, live & (pw1 != 0), 2),
+                    (pl2, frag * pw2, live & (pw2 != 0), 0),
+                    (N + top, frag, live, 3)]
+        return out
+
+    # streams: coalescence and partial-cell brackets (lower, upper), top
+    # cell; stream k deposits at base + j + offset[block] in the GEMV
+    # blocks, at base + min(j + shift + k % 2, N - 1) in the band
+    base, offset = np.array([0, 0, 0, N]), np.array([0, 1, -1, 0])
+    # the shift of bracket pair k // 2 on diagonal d is read off the lower
+    # bracket of the pair (0, d); the band holds the diagonals below the
+    # last one where that pair breaks the GEMV rule
+    dest, _, live, blocks = map(np.array, zip(*streams(
+        np.zeros(N, dtype=int), np.arange(N))))
+    shift = dest - base[blocks, None] - np.arange(N)
+    off = np.any(live & (shift != offset[blocks, None]), axis=0)
+    D = np.max(off.nonzero()[0] + 1, initial=0)
+    band_shift = shift[::2, :D].copy()
+    L = N + max(0, band_shift.max(initial=0))
+    band_w = np.zeros((len(band_shift), 2, D, L))
+    k = np.arange(len(blocks))
+    shift[:, :D] = band_shift[k // 2] + k[:, None] % 2
+    shift[:, D:] = offset[blocks, None]
+    # blocks of _PAIR_BLOCK pairs along the diagonals from first[d] on
+    first = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))
+    boundary, boundary_w = [], []
+    for p0 in range(0, first[-1], _PAIR_BLOCK):
+        p1 = min(p0 + _PAIR_BLOCK, first[-1])
+        d = np.repeat(np.arange(N), np.diff(np.clip(first, p0, p1)))
+        ju = np.arange(p0, p1) - first[d] + d
+        iu = ju - d
+        q = min(max(first[D] - p0, 0), p1 - p0)     # pairs [:q] in the band
+        cols, pair = [ju + sh[d] for sh in shift], streams(iu, ju)
+        regular = np.all([~live | (dest == base[b] + np.concatenate(
+            (np.minimum(col[:q], N - 1), col[q:])))
+            for (dest, _, live, b), col in zip(pair, cols)], axis=0)
+        gemv = regular & (d >= D)
+        cell = iu[gemv] * stack.shape[1] + ju[gemv]
+        for (_, w, _, b), col, g in zip(pair, cols, k):
+            band_w[g // 2, g % 2, d[:q], col[:q] - g % 2] = (w * regular)[:q]
+            stack.reshape(-1)[cell + b * N] += w[gemv]
+        boundary.append([x[~regular] for x in (iu, ju, *(t for t, *_ in pair))])
+        boundary_w.append([w[~regular] for _, w, *_ in pair])
+    rem_i, rem_j, *rem_dest = np.concatenate(boundary, axis=1)
+    band_dest = (np.minimum(np.arange(L) + np.c_[0:2], N - 1)
+                 + base[blocks[::2], None, None])
     lump_src, lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, stack=stack,
         K_table=K_table, K_death=K_death, E_table=E_table, parent_w=parent_w,
-        **rem, lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
+        band_w=band_w, band_shift=band_shift, band_dest=band_dest,
+        rem_i=rem_i, rem_j=rem_j, rem_dest=np.array(rem_dest),
+        rem_w=np.concatenate(boundary_w, axis=1),
+        lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
 
 
 def _rates(tables: OperatorTables, density: np.ndarray):
@@ -279,10 +295,17 @@ def _rates(tables: OperatorTables, density: np.ndarray):
         # constant 1 - E in parent_w
         w = tables.parent_w * (number * v[2])
         u = np.array([u[0] + w[0], u[1], w[1], w[2]])
+    # column m of diagonal d in bracket pair g is the pair (m - shift - d,
+    # m - shift): one gather reads both rows off the zero-padded numbers
+    _, _, D, L = tables.band_w.shape
+    padded = np.concatenate((np.zeros(L + D), number, np.zeros(L + D)))
+    rows = L + D - tables.band_shift - _PARTNER * np.arange(D)
+    window = as_strided(padded, (padded.size - L + 1, L), padded.strides * 2)
+    cols = np.einsum("gbdm,gdm,gdm->gbm", tables.band_w, *window[rows])
     P = number[tables.rem_i] * number[tables.rem_j]
-    # an empty bincount comes back as integers
-    out = np.bincount(tables.rem_dest.ravel(), (tables.rem_w * P).ravel(),
-                      2 * N + 1).astype(float, copy=False)
+    out = (np.bincount(tables.band_dest.ravel(), cols.ravel(), 2 * N + 1)
+           + np.bincount(tables.rem_dest.ravel(), (tables.rem_w * P).ravel(),
+                         2 * N + 1))
     gain = out[:N] + u[0]
     gain[1:] += u[1, :-1]
     gain[:-1] += u[2, 1:]
@@ -317,8 +340,9 @@ class StepControl:
     output_times: tuple = ()
 
     def __post_init__(self):
-        if not self.rtol > 0 or (self.atol is not None and not self.atol > 0):
-            raise ConfigError("tolerances must be positive")
+        if not 0 < self.rtol < np.inf or (
+                self.atol is not None and not 0 < self.atol < np.inf):
+            raise ConfigError("tolerances must be positive and finite")
         if not 0 < self.t_end < np.inf:
             raise ConfigError("t_end must be positive and finite")
 
@@ -373,6 +397,7 @@ _DP_P = np.array([
 _CLIP_LIMIT = 1e-15
 _DT_MIN = 1e-12                      # step-size underflow guard, per horizon
 _PAIR_BLOCK = 2 ** 14                # upper-triangle pairs per build block
+_PARTNER = np.array([1, 0])[:, None, None]   # smaller partner j - d, larger j
 
 
 def _clip(density: np.ndarray, grid: Grid):

@@ -7,8 +7,15 @@ several acceptance checks, so its trajectory is computed once per session.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import breakcoag as bc
+
+# Examples per property test that does not set its own: "default" locally,
+# "ci" under ``pytest --hypothesis-profile=ci``
+settings.register_profile("default", max_examples=150, deadline=None)
+settings.register_profile("ci", max_examples=500, deadline=None)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

@@ -168,13 +168,34 @@ class TestMain:
         "options.mass_tol=Infinity", "options.gel_threshold=-1",
         "options.gel_threshold=0", "options.gel_threshold=1",
         "options.gel_threshold=NaN", "options.moment_orders=[NaN]",
-        "options.moment_orders=[1,Infinity]"])
+        "options.moment_orders=[1,Infinity]", "control.rtol=1e999",
+        "control.rtol=Infinity", "control.atol=1e999", "options.theta=0",
+        "options.theta=1", "options.theta=NaN", "options.perturbation=0",
+        "options.perturbation=-1", "options.perturbation=Infinity",
+        "options.sweep_E=[2]", "options.sweep_E=[0.5,-0.1]",
+        "options.sweep_E=[NaN]"])
     def test_malformed_value_exit_two(self, tmp_path, override):
         out = tmp_path / "results"
         code = cli.main(["run", _write(tmp_path, MINIMAL), "--out", str(out),
                          "--override", override])
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("override", [
+        "options.theta=2", "options.perturbation=-1", "options.sweep_E=[2]"])
+    def test_options_checked_before_any_work(self, tmp_path, monkeypatch,
+                                             override):
+        def build_tables(*args, **kwargs):
+            raise AssertionError("tables built before the options were checked")
+
+        monkeypatch.setattr(cli, "build_tables", build_tables)
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["experiments"] = ["run", "contraction", "sweep", "dlvp"]
+        out = tmp_path / "results"
+        code = cli.main(["run", _write(tmp_path, cfg), "--out", str(out),
+                         "--override", override])
+        assert code == 2
+        assert not out.exists()
 
     def test_contraction_gate_failure(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))

@@ -5,7 +5,7 @@ residual that reads it and the integration that steps it.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import breakcoag as bc
@@ -124,10 +124,6 @@ def _deposits(tables):
     return out
 
 
-SETTINGS = settings(max_examples=150, deadline=None)
-
-
-@SETTINGS
 @given(scenarios())
 def test_rhs_matches_dense_reference(case):
     tables, density = case
@@ -135,7 +131,6 @@ def test_rhs_matches_dense_reference(case):
     assert np.all(np.abs(_rhs(tables, density) - ref) <= 1e-12 * scale)
 
 
-@SETTINGS
 @given(scenarios())
 def test_blocks_and_remainder_carry_each_pair_once(case):
     tables, _ = case
@@ -160,6 +155,13 @@ def test_blocks_and_remainder_carry_each_pair_once(case):
                 got[:, j, j + offset] += weights[:, j]
             else:
                 assert not weights[:, j].any()
+    # column m of diagonal d in bracket pair g is the pair (j - d, j),
+    # j = m - shift
+    g, b, d, m = tables.band_w.nonzero()
+    j = m - tables.band_shift[g, d]
+    assert np.all((d <= j) & (j < N))
+    np.add.at(got, (j - d, j, tables.band_dest[g, b, m]),
+              tables.band_w[g, b, d, m])
     for dest, w in zip(tables.rem_dest, tables.rem_w):
         np.add.at(got, (tables.rem_i, tables.rem_j, dest), w)
     # entries (i, j) and (j, i) carry the same pair
@@ -172,7 +174,6 @@ def test_blocks_and_remainder_carry_each_pair_once(case):
     assert_array_equal(blocks[-1].T, tables.K_death)
 
 
-@SETTINGS
 @given(scenarios(offgrid_loss=False))
 def test_mass_rate_vanishes(case):
     tables, density = case
@@ -182,7 +183,6 @@ def test_mass_rate_vanishes(case):
     assert abs(mass @ _rhs(tables, density)) <= 1e-12 * (mass @ scale)
 
 
-@SETTINGS
 @given(scenarios(coalescence_only=True))
 def test_no_fragment_gain_when_E_is_one(case):
     tables, density = case
@@ -199,6 +199,7 @@ def test_no_fragment_gain_when_E_is_one(case):
         assert not tables.parent_w.any()       # the weights carry 1 - E
     else:
         assert not tables.stack[:, 2 * N:3 * N].any()   # the breakage block
+    assert not tables.band_w[1:].any()       # the fragment bracket pairs
     assert not tables.rem_w[2:].any()
 
 
@@ -227,7 +228,6 @@ def _dense_zeta(tables, phi_c):
             phi_c[:, None] + phi_c[None, :])
 
 
-@SETTINGS
 @given(scenarios(), phis, st.data())
 def test_weak_form_rate_matches_dense_zeta(case, phi_kind, data):
     tables, density = case
@@ -253,7 +253,6 @@ def test_weak_form_rate_matches_dense_zeta(case, phi_kind, data):
                   <= 1e-12 * (size[:-1] + size[1:]) * half_dt)
 
 
-@SETTINGS
 @given(scenarios())
 def test_integrate_keeps_positivity_and_mass(case):
     tables, density = case

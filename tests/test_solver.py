@@ -9,17 +9,29 @@ import breakcoag as bc
 from breakcoag import solver
 from breakcoag.errors import ConfigError
 from breakcoag.solver import (_DP_A, _DP_E, _DP_P, _frag_partial,
-                              _pair_deposits, _pow_integral, _remap_points,
-                              _rhs)
+                              _pow_integral, _remap_points, _rhs)
 
 
 def dense_deposits(tables):
-    """The dense reference: (N, N) per-pair deposit tables ``coag_*`` and,
-    unless the daughter is per-parent, ``frag_*``, for every ordered pair
-    of cell centers."""
+    """The dense reference: (N, N) per-pair deposit tables for every ordered
+    pair of cell centers: the coalescence brackets and number weights
+    ``coag_*`` (weights zero where the kernel is) and, unless the daughter
+    is per-parent, the fragment top cell, scale and partial-cell brackets
+    and weights ``frag_*``."""
     c = tables.grid.centers
-    return _pair_deposits(tables.grid, tables.daughter, np.add.outer(c, c),
-                          tables.K_table > 0)
+    s = np.add.outer(c, c)
+    l1, l2, w1, w2 = _remap_points(c, s, np.ones_like(s))
+    active = tables.K_table > 0
+    deposits = {"coag_l1": l1, "coag_l2": l2,
+                "coag_w1": np.where(active, w1, 0.0),
+                "coag_w2": np.where(active, w2, 0.0)}
+    if tables.daughter.per_parent:
+        return deposits
+    top, pl1, pl2, pw1, pw2 = _frag_partial(tables.daughter, tables.grid, s)
+    return deposits | {"frag_top": top,
+                       "frag_w": s ** (-(tables.daughter.nu + 1.0)),
+                       "frag_pl1": pl1, "frag_pl2": pl2,
+                       "frag_pw1": pw1, "frag_pw2": pw2}
 
 
 def dense_fragments(tables):
@@ -52,8 +64,8 @@ def dense_fragments(tables):
 
 def _reference_rhs(tables, density):
     """Slow evaluation straight from the dense per-pair and fragment
-    tables; the production path uses the stacked blocks, the packed
-    remainder and the suffix sum and must agree."""
+    tables; the production path uses the stacked blocks, the band, the
+    packed boundary pairs and the suffix sum and must agree."""
     g = tables.grid
     N = g.cell_count
     d = dense_deposits(tables)
@@ -140,7 +152,7 @@ class TestBuildTables:
             "singular"])
     def test_pair_block_size_does_not_matter(self, small_grid, monkeypatch,
                                              kw):
-        # 5050 pairs: blocks of 7 end mid-row, and the last holds 3 pairs
+        # 5050 pairs: blocks of 7 end mid-diagonal, and the last holds 3
         one = _tables(small_grid, **kw)
         monkeypatch.setattr(solver, "_PAIR_BLOCK", 7)
         blocked = _tables(small_grid, **kw)
@@ -181,6 +193,52 @@ class TestBuildTables:
                 roots[id(v)] = v
         held = sum(a.nbytes for a in roots.values())
         assert peak <= 1.4 * held
+
+    def test_boundary_pairs_stay_packed(self):
+        # on this coarse grid the first pair (0, 0) of the diagonal d = 0
+        # has its lower partial-cell bracket clamped to cell 0, so (1, 1)
+        # and (2, 2) break the shift read off it and stay packed
+        g = bc.make_grid(1e-3, 1e3, 3)
+        t = _tables(g, daughter=bc.DaughterSpec.power_total(-0.39))
+        assert t.rem_i.size > 0 and t.rem_w.any()
+        density = bc.sample_initial(bc.InitialCondition.exponential(1.0),
+                                    g).density
+        ref = _reference_rhs(t, density)
+        death = density * (t.K_death @ (density * g.widths))
+        assert np.all(np.abs(_rhs(t, density) - ref)
+                      <= 1e-12 * (np.abs(ref + death) + death))
+
+    @pytest.mark.parametrize("N, kernel, daughter, prob", [
+        (120, bc.KernelSpec.sum_product(-0.25, 0.5),
+         bc.DaughterSpec.power_total(0.0),
+         bc.ProbSpec.small_volume_floor(0.6, 0.2)),
+        (300, bc.KernelSpec.sum_product(0.0, 1.0),
+         bc.DaughterSpec.power_total(0.0), bc.ProbSpec.constant(0.5)),
+        (800, bc.KernelSpec.sum_product(0.0, 1.0),
+         bc.DaughterSpec.power_each(0.0), bc.ProbSpec.constant(0.5)),
+    ], ids=["singular-suite", "linear", "fine-grid"])
+    def test_no_boundary_pairs_on_the_workload_grids(self, N, kernel,
+                                                     daughter, prob):
+        t = _tables(bc.make_grid(1e-4, 1e3, N), kernel=kernel,
+                    daughter=daughter, prob=prob)
+        assert t.rem_i.size == 0
+        assert t.band_w.any()
+
+    @pytest.mark.parametrize("grid, daughter", [
+        ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39)),
+        ((1e-4, 1e3, 300), bc.DaughterSpec.power_total(0.0)),
+        ((1e-4, 1e3, 300), bc.DaughterSpec.power_each(0.0)),
+    ], ids=["boundary", "power_total", "power_each"])
+    def test_band_layout_does_not_depend_on_E(self, grid, daughter):
+        g = bc.make_grid(*grid)
+        layouts = []
+        for E in (0.0, 0.5, 1.0):
+            t = _tables(g, daughter=daughter, prob=bc.ProbSpec.constant(E))
+            layouts.append((t.band_w.shape, t.band_shift, t.band_dest,
+                            t.rem_i, t.rem_j, t.rem_dest))
+        for layout in layouts[1:]:
+            for a, b in zip(layouts[0], layout):
+                assert np.array_equal(a, b)
 
     def test_uniform_half_cell_integral(self):
         # destination cell (1, 2) for a pair with x + y = 4
@@ -391,6 +449,14 @@ class TestStepAndIntegrate:
                        {"t_end": 0.0}, {"t_end": np.inf}, {"t_end": np.nan}):
             with pytest.raises(ConfigError):
                 bc.StepControl(**kwargs)
+
+    def test_infinite_tolerances_rejected(self):
+        # an infinite tolerance accepts every step, whatever its error
+        for kwargs in ({"rtol": np.inf}, {"atol": np.inf},
+                       {"rtol": float("1e999")}):
+            with pytest.raises(ConfigError, match="finite"):
+                bc.StepControl(**kwargs)
+        assert bc.StepControl(rtol=1e300, atol=1e300).rtol == 1e300
 
 
 class TestTrajectory:
