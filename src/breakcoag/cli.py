@@ -24,11 +24,11 @@ from .diagnostics import (check_apriori_bounds, check_mass_conservation,
                           contraction_experiment, detect_gelation, e_sweep,
                           moment_series)
 from .dlvp import build_phi, verify_dlvp
-from .errors import ConfigError, DataError, IntegrationError
+from .errors import ConfigError, DataError, DomainError, IntegrationError
 from .grid import Grid, InitialCondition, make_grid, moment, \
     read_tabulated_csv, sample_initial
 from .hypotheses import check_scenario
-from .kernels import KernelSpec
+from .kernels import KernelSpec, eval_kernel
 from .solver import StepControl, build_tables, integrate
 
 _EXPERIMENTS = ("run", "verify", "contraction", "gel", "sweep", "dlvp")
@@ -88,9 +88,14 @@ def _build(section: str, cfg: dict, builders: dict, tag: str = "family"):
 
 def _from_file(read, build):
     """``build`` configured by a ``path`` key: ``read(path)`` supplies the
-    parameters of ``build`` that have no default, the config the others."""
+    parameters of ``build`` that have no default, the config the others.
+    A file that cannot be read is a configuration error."""
     def from_file(path, **kwargs):
-        return build(*read(path), **kwargs)
+        try:
+            arrays = read(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc}")
+        return build(*arrays, **kwargs)
     params = inspect.signature(build).parameters.values()
     from_file.__signature__ = inspect.Signature(
         [inspect.Parameter("path", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
@@ -100,10 +105,7 @@ def _from_file(read, build):
 
 def _read_kernel_csv(path):
     """CSV columns x,y,K over a rectangular grid of (x, y) pairs."""
-    try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read kernel table {path}: {exc}")
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if rows.shape[1] != 3:
         raise DataError("kernel table needs columns x,y,K")
     if not np.all(np.isfinite(rows)):
@@ -333,6 +335,14 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
     opts = config.options
     n_trunc = config.grid.x_max if opts["n_trunc"] is None \
         else opts["n_trunc"]
+    if needs_traj or "sweep" in config.experiments:
+        # the operator reads the kernel at every pair of cell centres,
+        # which the two outermost centres bound
+        ends = config.grid.centers[[0, -1]]
+        try:
+            eval_kernel(config.kernel, ends, ends)
+        except DomainError as exc:
+            raise ConfigError(f"kernel not defined on the grid: {exc}")
     if needs_traj:
         tables = build_tables(config.grid, config.kernel, n_trunc,
                               config.daughter, config.prob,
@@ -392,12 +402,10 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
             config.kernel.declared_alpha, opts["offgrid_loss"])
 
     if "dlvp" in config.experiments:
-        xs = np.geomspace(config.grid.x_min, config.grid.x_max, 4000)
-        hs = sample_initial(config.initial,
-                            make_grid(config.grid.x_min, config.grid.x_max,
-                                      3999)).density
-        pc = build_phi(np.sqrt(xs[:-1] * xs[1:]), hs, opts["theta"])
-        rep = verify_dlvp(pc, np.sqrt(xs[:-1] * xs[1:]), hs)
+        fine = make_grid(config.grid.x_min, config.grid.x_max, 3999)
+        hs = sample_initial(config.initial, fine).density
+        pc = build_phi(fine.centers, hs, opts["theta"])
+        rep = verify_dlvp(pc, fine.centers, hs)
         results["dlvp"] = {"j_seq": pc.j_seq, "ok": rep["ok"]}
         if not rep["ok"]:
             failures.append("dlvp construction checks failed")

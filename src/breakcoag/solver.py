@@ -34,10 +34,10 @@ Design notes
   each pair breaks at one rate ``n_j sum_i n_i K_ji (1 - E_ji)``, like a
   pair of total size c_j (top cell j, partial cell [e_j, c_j] bracketed
   at j - 1 and j), spread by the (3, N) ``parent_w`` from a breakage
-  block ``(K_table (1 - E))^T``, or from the death block if the kernel is
-  capped and E constant (1 - E then rides in ``parent_w``).  This is the
-  only form of the operator: the weak-form residual reads its rates
-  through the same ``_rates``.
+  block ``(K (1 - E))^T`` of the gain kernel, or from the death block if
+  the kernel is capped and E constant (1 - E then rides in
+  ``parent_w``).  K and E enter only through these weights, and the
+  weak-form residual reads its rates through the same ``_rates``.
 * ``build_tables`` works in row blocks of the kernel and in blocks of
   ``_PAIR_BLOCK`` pairs along the diagonals, filling the tables in place,
   so its peak memory stays close to the table bytes; the block size
@@ -110,9 +110,7 @@ class OperatorTables:
     n_trunc: float
     offgrid_loss: bool
     stack: np.ndarray                  # (N, 5N); per-parent (N, 3N) or (N, 4N)
-    K_table: np.ndarray                # gain kernel; K_death unless offgrid_loss
-    K_death: np.ndarray                # death kernel, a view of the last block
-    E_table: np.ndarray                # (N, N); zero-stride if E is constant
+    K_death: np.ndarray                # last block (view); gains cut it at n_trunc
     parent_w: np.ndarray | None        # per-parent (3, N): cells j, j - 1, top j
     band_w: np.ndarray                 # (G, 2, D, N + span) bracket pairs
     band_shift: np.ndarray             # (G, D) lower bracket minus j
@@ -164,8 +162,8 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
                  daughter: DaughterSpec, prob: ProbSpec,
                  offgrid_loss: bool = False) -> OperatorTables:
     """Precompute the weight blocks, band and boundary pairs of the
-    truncated system, whose kernel ``K_table`` is ``min(K, n_trunc)`` (uncapped with
-    ``offgrid_loss``) where ``x + y < n_trunc`` and 0 elsewhere."""
+    truncated system, whose gain kernel is ``min(K, n_trunc)`` (uncapped
+    with ``offgrid_loss``) where ``x + y < n_trunc`` and 0 elsewhere."""
     if not 0 < n_trunc <= grid.x_max:
         raise ConfigError("truncation level must be positive and at most "
                           "the grid top")
@@ -178,25 +176,26 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
             "simulation requires a finite fragment count (daughter exponent > -1)")
     c = grid.centers
     N = c.size
-    E_table = np.asarray(eval_E(prob, c[:, None], c[None, :]), dtype=float)
     fold = daughter.per_parent and prob.form == "constant" and not offgrid_loss
     stack = np.zeros((N, (3 if fold else 4 if daughter.per_parent else 5) * N))
     K_death = stack[:, -N:].T
+    broken = None if fold or not daughter.per_parent else stack[:, 2 * N:3 * N].T
     # offgrid_loss drops the rate cap and keeps the raw kernel in the loss
     # term: pairs whose product leaves the grid still collide but produce
     # nothing representable, so mass genuinely leaks to large sizes — the
     # configuration used to observe gelation.  The default caps and cuts
     # both terms identically, which conserves mass exactly.
-    K_table = np.empty((N, N)) if offgrid_loss else K_death
     step = max(1, _PAIR_BLOCK // N)
     for r in range(0, N, step):
         x, K = c[r:r + step, None], K_death[r:r + step]
         K[...] = eval_kernel(kernel, x, c)
-        if offgrid_loss:
-            K_table[r:r + step] = np.where(x + c < n_trunc, K, 0.0)
-        else:
+        live = x + c < n_trunc
+        if not offgrid_loss:
             np.minimum(K, n_trunc, out=K)
-            K[x + c >= n_trunc] = 0.0
+            K[~live] = 0.0
+        if broken is not None:
+            np.subtract(1.0, eval_E(prob, x, c), out=broken[r:r + step])
+            broken[r:r + step] *= np.where(live, K, 0.0)
 
     parent_w = None
     if daughter.per_parent:
@@ -205,11 +204,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         pw2[0], pw1[0] = pw1[0] + pw2[0], 0.0     # parent 0: cell 0 alone
         parent_w = np.array([pw2, pw1, np.ones(N)]) * c ** (-(daughter.nu + 1.0))
         if fold:
-            parent_w *= 1.0 - E_table[0, 0]
-        else:
-            broken = stack[:, 2 * N:3 * N].T
-            np.subtract(1.0, E_table, out=broken)
-            broken *= K_table
+            parent_w *= 1.0 - prob.params["value"]
 
     def streams(iu, ju):
         """(destination, weight, live, block) per stream of pairs iu <= ju;
@@ -218,14 +213,15 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         live = s < n_trunc
         l1, l2, w1, w2 = _remap_points(c, s, np.ones_like(s))
         # a diagonal pair is one collision type; an off-diagonal pair
-        # stands for both orders, each at half the rate
-        rate = np.where(iu == ju, 0.5, 1.0) * K_table[iu, ju]
-        coag = rate * E_table[iu, ju]
+        # stands for both orders, each at half the rate of the gain kernel
+        rate = np.where(iu == ju, 0.5, 1.0) * np.where(live, K_death[iu, ju], 0.0)
+        E = eval_E(prob, c[iu], c[ju])
+        coag = rate * E
         out = [(l1, coag * w1, live & (w1 != 0), 0),
                (l2, coag * w2, live & (w2 != 0), 1)]
         if not daughter.per_parent:
             top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, s)
-            frag = rate * (1.0 - E_table[iu, ju]) * s ** (-(daughter.nu + 1.0))
+            frag = rate * (1.0 - E) * s ** (-(daughter.nu + 1.0))
             out += [(pl1, frag * pw1, live & (pw1 != 0), 2),
                     (pl2, frag * pw2, live & (pw2 != 0), 0),
                     (N + top, frag, live, 3)]
@@ -276,7 +272,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, stack=stack,
-        K_table=K_table, K_death=K_death, E_table=E_table, parent_w=parent_w,
+        K_death=K_death, parent_w=parent_w,
         band_w=band_w, band_shift=band_shift, band_dest=band_dest,
         rem_i=rem_i, rem_j=rem_j, rem_dest=np.array(rem_dest),
         rem_w=np.concatenate(boundary_w, axis=1),
@@ -519,15 +515,17 @@ def weak_form_residual(trajectory: Trajectory, tables: OperatorTables,
     """
     if len(trajectory) < 3:
         raise ConfigError("need at least 3 output times")
-    dx = trajectory.grid.widths
-    phi_c = _phi_values(phi_kind, trajectory.grid.centers)
+    c, dx = trajectory.grid.centers, trajectory.grid.widths
+    phi_c = _phi_values(phi_kind, c)
     mphi = trajectory.densities @ (phi_c * dx)
+    # the build's gain kernel: the death kernel cut at n_trunc
+    K_gain = np.where(c[:, None] + c < tables.n_trunc, tables.K_death, 0.0)
     rates = np.empty(len(trajectory))
     for k, density in enumerate(trajectory.densities):
         rate, death = _rates(tables, density)
         number = density * dx
         rates[k] = ((phi_c * dx) @ rate
-                    + (phi_c * number) @ (death - tables.K_table @ number))
+                    + (phi_c * number) @ (death - K_gain @ number))
 
     dts = np.diff(trajectory.times)
     lhs = np.diff(mphi)

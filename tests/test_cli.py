@@ -236,6 +236,45 @@ class TestMain:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, family", [("initial", "tabulated"),
+                                                 ("kernel", "table")])
+    def test_missing_table_file_exit_two(self, tmp_path, capsys, section,
+                                         family):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg[section] = {"family": family,
+                        "path": str(tmp_path / "missing.csv")}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiments", [["run"], ["sweep"]],
+                             ids=["run", "sweep"])
+    def test_table_kernel_off_the_grid_exit_two(self, tmp_path, capsys,
+                                                monkeypatch, experiments):
+        # the table covers (1e-3, 1e2), the grid (1e-4, 1e3)
+        axis = np.geomspace(1e-3, 1e2, 6).tolist()
+        rows = [f"{x!r},{y!r},{x + y!r}" for x in axis for y in axis]
+        (tmp_path / "kernel.csv").write_text("x,y,K\n" + "\n".join(rows))
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"] = {"x_min": 1e-4, "x_max": 1e3, "cells": 30}
+        cfg["kernel"] = {"family": "table",
+                         "path": str(tmp_path / "kernel.csv")}
+        cfg["experiments"] = experiments
+        path = _write(tmp_path, cfg)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("tables built on a grid the kernel misses")
+
+        monkeypatch.setattr(cli, "build_tables", fail)
+        monkeypatch.setattr(cli, "e_sweep", fail)
+        out = tmp_path / "results"
+        assert cli.main(["run", path, "--out", str(out)]) == 2
+        assert "kernel not defined on the grid" in capsys.readouterr().err
+        assert not out.exists()
+        # verify does not use the grid
+        assert cli.main(["verify", path, "--out", str(tmp_path / "v")]) == 0
+
     def test_non_finite_kernel_table_exit_two(self, tmp_path, capsys):
         axis = np.geomspace(1e-3, 1e2, 6).tolist()
         rows = [f"{x!r},{y!r},{x + y!r}" for x in axis for y in axis]

@@ -97,11 +97,12 @@ class TestTableKernel:
 
 def _truncated(kernel, level):
     """Centers (as a column and a row) and ``build_tables``' truncated
-    kernel ``K_table`` on a small grid that spans the level."""
+    kernel, its death kernel ``K_death``, on a small grid that spans the
+    level."""
     g = bc.make_grid(0.1, 20.0, 40)
     t = bc.build_tables(g, kernel, level, bc.DaughterSpec.power_total(0.0),
                         bc.ProbSpec.constant(0.5))
-    return g.centers[:, None], g.centers[None, :], t.K_table
+    return g.centers[:, None], g.centers[None, :], t.K_death
 
 
 class TestTruncateKernel:

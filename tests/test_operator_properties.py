@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import breakcoag as bc
 from breakcoag.solver import _phi_values, _rhs
-from test_solver import _reference_rhs, dense_deposits, dense_fragments
+from test_solver import (_reference_rhs, dense_deposits, dense_fragments,
+                         dense_kernels)
 
 X_MIN = 1e-3
 
@@ -73,9 +74,13 @@ def probs(draw, coalescence_only=False):
 
 @st.composite
 def scenarios(draw, coalescence_only=False, offgrid_loss=None):
-    """(tables, density) for one random scenario."""
+    """(tables, density) for one random scenario.  Some grids double every
+    q cells (q <= 4): there 2 c_i falls on a cell centre up to rounding,
+    so diagonal pairs tie between brackets and stay packed."""
     n = draw(st.integers(1, 40))
-    x_max = draw(st.sampled_from([10.0, 1e2, 1e3]))
+    x_max = draw(st.sampled_from([10.0, 1e2, 1e3, None]))
+    if x_max is None:
+        x_max = X_MIN * 2.0 ** (n / draw(st.integers(-(-n // 20), 4)))
     kernel = draw(kernels(x_max))
     daughter = draw(daughters)
     assume(not (daughter.per_parent and kernel.declared_alpha > 0.0))
@@ -104,10 +109,11 @@ def _deposits(tables):
     N = g.cell_count
     d = dense_deposits(tables)
     prefix, parent = dense_fragments(tables)
+    K, _, E = dense_kernels(tables)
     i, j = np.triu_indices(N)
-    rate = np.where(i == j, 0.5, 1.0) * tables.K_table[i, j]
-    coag = rate * tables.E_table[i, j]
-    frag = rate * (1.0 - tables.E_table[i, j])
+    rate = np.where(i == j, 0.5, 1.0) * K[i, j]
+    coag = rate * E[i, j]
+    frag = rate * (1.0 - E[i, j])
     out = np.zeros((N, N, N))
     np.add.at(out, (i, j, d["coag_l1"][i, j]), coag * d["coag_w1"][i, j])
     np.add.at(out, (i, j, d["coag_l2"][i, j]), coag * d["coag_w2"][i, j])
@@ -171,7 +177,8 @@ def test_blocks_and_remainder_carry_each_pair_once(case):
     prefix, _ = dense_fragments(tables)
     cells = got[..., :N] + got[..., N:] @ prefix
     assert_allclose(cells, _deposits(tables), rtol=1e-14, atol=0.0)
-    assert_array_equal(blocks[-1].T, tables.K_death)
+    # the death block is the kernel capped and cut, or raw with offgrid_loss
+    assert_array_equal(blocks[-1].T, dense_kernels(tables)[1])
 
 
 @given(scenarios(offgrid_loss=False))
@@ -212,7 +219,7 @@ def _dense_zeta(tables, phi_c):
     """Gain and loss parts of ``zeta_phi`` per pair, from the dense per-pair
     tables: ``zeta_phi = gain - loss``."""
     d = dense_deposits(tables)
-    E = tables.E_table
+    E = dense_kernels(tables)[2]
     phi_at_sum = (d["coag_w1"] * phi_c[d["coag_l1"]]
                   + d["coag_w2"] * phi_c[d["coag_l2"]])
     prefix, parent = dense_fragments(tables)
@@ -241,11 +248,12 @@ def test_weak_form_rate_matches_dense_zeta(case, phi_kind, data):
     traj = bc.Trajectory(g, np.cumsum([0.0, *dts]), densities,
                          clipped_mass=0.0, n_steps=0, n_rejected=0)
     gain, loss = _dense_zeta(tables, _phi_values(phi_kind, g.centers))
-    # the dense formula 1/2 n^T (zeta_phi o K_table) n, and the size of
+    K_gain, K_death, _ = dense_kernels(tables)
+    # the dense formula 1/2 n^T (zeta_phi o K_gain) n, and the size of
     # its gain and loss terms
     rate, size = np.array([
-        (0.5 * n @ ((gain - loss) * tables.K_table) @ n,
-         0.5 * n @ (gain * tables.K_table + loss * tables.K_death) @ n)
+        (0.5 * n @ ((gain - loss) * K_gain) @ n,
+         0.5 * n @ (gain * K_gain + loss * K_death) @ n)
         for n in densities * g.widths]).T
     half_dt = 0.5 * np.diff(traj.times)
     got = bc.weak_form_residual(traj, tables, phi_kind)["rhs"]

@@ -7,9 +7,27 @@ from scipy.integrate import RK45, quad, solve_ivp
 
 import breakcoag as bc
 from breakcoag import solver
+from breakcoag.daughter import eval_E
 from breakcoag.errors import ConfigError
+from breakcoag.kernels import eval_kernel
 from breakcoag.solver import (_DP_A, _DP_E, _DP_P, _frag_partial,
                               _pow_integral, _remap_points, _rhs)
+
+
+def dense_kernels(tables):
+    """The dense kernel reference, evaluated from the scenario rather than
+    read off the tables: the gain kernel, ``min(K, n_trunc)`` (the raw K
+    with ``offgrid_loss``) where ``c_i + c_j < n_trunc`` and 0 elsewhere;
+    the death kernel, the gain kernel or with ``offgrid_loss`` the raw K;
+    and E, all (N, N)."""
+    c = tables.grid.centers
+    x, y = c[:, None], c[None, :]
+    K = eval_kernel(tables.kernel, x, y)
+    if not tables.offgrid_loss:
+        K = np.minimum(K, tables.n_trunc)
+    gain = np.where(x + y < tables.n_trunc, K, 0.0)
+    return (gain, K if tables.offgrid_loss else gain,
+            np.broadcast_to(eval_E(tables.prob, x, y), gain.shape))
 
 
 def dense_deposits(tables):
@@ -21,7 +39,7 @@ def dense_deposits(tables):
     c = tables.grid.centers
     s = np.add.outer(c, c)
     l1, l2, w1, w2 = _remap_points(c, s, np.ones_like(s))
-    active = tables.K_table > 0
+    active = dense_kernels(tables)[0] > 0
     deposits = {"coag_l1": l1, "coag_l2": l2,
                 "coag_w1": np.where(active, w1, 0.0),
                 "coag_w2": np.where(active, w2, 0.0)}
@@ -63,17 +81,18 @@ def dense_fragments(tables):
 
 
 def _reference_rhs(tables, density):
-    """Slow evaluation straight from the dense per-pair and fragment
-    tables; the production path uses the stacked blocks, the band, the
-    packed boundary pairs and the suffix sum and must agree."""
+    """Slow evaluation straight from the dense kernels, per-pair and
+    fragment tables; the production path uses the stacked blocks, the
+    band, the packed boundary pairs and the suffix sum and must agree."""
     g = tables.grid
     N = g.cell_count
     d = dense_deposits(tables)
     prefix, parent = dense_fragments(tables)
     number = density * g.widths
-    R = tables.K_table * np.outer(number, number)
-    Rc = 0.5 * tables.E_table * R
-    Rb = 0.5 * (1.0 - tables.E_table) * R
+    K_gain, K_death, E = dense_kernels(tables)
+    R = K_gain * np.outer(number, number)
+    Rc = 0.5 * E * R
+    Rb = 0.5 * (1.0 - E) * R
     gain = np.zeros(N)
     np.add.at(gain, d["coag_l1"].ravel(), (Rc * d["coag_w1"]).ravel())
     np.add.at(gain, d["coag_l2"].ravel(), (Rc * d["coag_w2"]).ravel())
@@ -86,7 +105,7 @@ def _reference_rhs(tables, density):
         gain += T @ prefix
         np.add.at(gain, d["frag_pl1"].ravel(), (Q * d["frag_pw1"]).ravel())
         np.add.at(gain, d["frag_pl2"].ravel(), (Q * d["frag_pw2"]).ravel())
-    death = density * (tables.K_death @ number)
+    death = density * (K_death @ number)
     return gain / g.widths - death
 
 
@@ -104,8 +123,8 @@ class TestBuildTables:
         g = small_grid
         s = np.add.outer(g.centers, g.centers)
         inside = s < g.x_max
-        assert np.all(t.K_table[inside] == 2.0)
-        assert np.all(t.K_table[~inside] == 0.0)
+        assert np.all(t.K_death[inside] == 2.0)
+        assert np.all(t.K_death[~inside] == 0.0)
 
     def test_tables_built_with_pure_coagulation(self, small_grid):
         t = _tables(small_grid, prob=bc.ProbSpec.constant(1.0))
@@ -126,19 +145,25 @@ class TestBuildTables:
     def test_no_dense_table_beside_the_operator(self):
         N = 200
         g = bc.make_grid(1e-3, 1e3, N)
-        # per-parent breakage reads the death product: no fragment blocks
-        for daughter, blocks in ((bc.DaughterSpec.power_total(0.0), 5),
-                                 (bc.DaughterSpec.power_each(0.0), 3)):
-            t = _tables(g, kernel=bc.KernelSpec.constant(1.0),
-                        daughter=daughter)
-            assert t.stack.shape == (N, blocks * N)
-            dense = {name for name, v in vars(t).items()
-                     if isinstance(v, np.ndarray)
-                     and sum(n >= N for n in v.shape) >= 2}
-            assert dense <= {"stack", "K_table", "K_death", "E_table"}
-            # a constant E is a zero-stride view, not an (N, N) buffer
-            assert t.E_table.strides == (0, 0)
-            assert not t.E_table.flags.writeable
+        axis = np.geomspace(1e-3, 1e3, 5)
+        table = bc.ProbSpec.table(axis, axis, 0.2 + 0.1 * np.add.outer(
+            np.arange(5), np.arange(5)))
+        # constant, floor and table E, and offgrid_loss; per-parent
+        # breakage reads the death product when 1 - E folds into its
+        # weights, a breakage block otherwise
+        for kw in ({}, {"prob": bc.ProbSpec.small_volume_floor(0.6, 0.2)},
+                   {"prob": table}, {"offgrid_loss": True}):
+            fold = "prob" not in kw and "offgrid_loss" not in kw
+            for daughter, blocks in ((bc.DaughterSpec.power_total(0.0), 5),
+                                     (bc.DaughterSpec.power_each(0.0),
+                                      3 if fold else 4)):
+                t = _tables(g, kernel=bc.KernelSpec.constant(1.0),
+                            daughter=daughter, **kw)
+                assert t.stack.shape == (N, blocks * N)
+                dense = {name for name, v in vars(t).items()
+                         if isinstance(v, np.ndarray)
+                         and sum(n >= N for n in v.shape) >= 2}
+                assert dense == {"stack", "K_death"}, kw
 
     @pytest.mark.parametrize("kw", [
         {},
@@ -194,14 +219,22 @@ class TestBuildTables:
         held = sum(a.nbytes for a in roots.values())
         assert peak <= 1.4 * held
 
-    def test_boundary_pairs_stay_packed(self):
-        # on this coarse grid the first pair (0, 0) of the diagonal d = 0
-        # has its lower partial-cell bracket clamped to cell 0, so (1, 1)
-        # and (2, 2) break the shift read off it and stay packed
-        g = bc.make_grid(1e-3, 1e3, 3)
-        t = _tables(g, daughter=bc.DaughterSpec.power_total(-0.39))
+    @pytest.mark.parametrize("grid, daughter, rate", [
+        ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39), 1.0),
+        ((1.0, 2.0 ** 12, 48), bc.DaughterSpec.power_total(0.0), 1e-2),
+        ((1.0, 2.0 ** 12, 48), bc.DaughterSpec.power_each(0.0), 1e-2),
+    ], ids=["coarse", "doubling-power_total", "doubling-power_each"])
+    def test_boundary_pairs_stay_packed(self, grid, daughter, rate):
+        # coarse: the first pair (0, 0) of the diagonal d = 0 has its lower
+        # partial-cell bracket clamped to cell 0, so (1, 1) and (2, 2)
+        # break the shift read off it.  Doubling: on edges at ratio
+        # 2^(1/4), 2 c_i falls on a cell centre up to rounding, so pairs
+        # (i, i) tie between two brackets and break it too
+        g = bc.make_grid(*grid)
+        t = _tables(g, daughter=daughter)
         assert t.rem_i.size > 0 and t.rem_w.any()
-        density = bc.sample_initial(bc.InitialCondition.exponential(1.0),
+        assert np.all(t.rem_i == t.rem_j)
+        density = bc.sample_initial(bc.InitialCondition.exponential(rate),
                                     g).density
         ref = _reference_rhs(t, density)
         death = density * (t.K_death @ (density * g.widths))
