@@ -61,15 +61,27 @@ def _check_keys(mapping: dict, allowed, context: str):
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
 
 
+def _reject_bools(cfg: dict, section: str, flags=()):
+    """Reject a JSON true or false, alone or in a list, as the value of any
+    key but the boolean ``flags``: Python would take it for 1 or 0."""
+    for key, value in cfg.items():
+        values = value if isinstance(value, list) else [value]
+        if key not in flags and any(isinstance(v, bool) for v in values):
+            raise ConfigError(f"{key} in {section} must not be a boolean, "
+                              f"got {value!r}")
+
+
 def _call(build, cfg: dict, section: str):
     """Call ``build`` with the keys of one config section.
 
     The signature of ``build`` is the section's schema: its parameters are
     the allowed keys, those without a default are required, and each
-    default is stated only there.
+    default is stated only there. A boolean default makes a boolean key.
     """
     params = inspect.signature(build).parameters
     _check_keys(cfg, params, section)
+    _reject_bools(cfg, section, [key for key, param in params.items()
+                                 if isinstance(param.default, bool)])
     for key, param in params.items():
         if param.default is param.empty:
             _require(cfg, key, section)
@@ -176,6 +188,7 @@ def _options(n_trunc=None, offgrid_loss=False, mass_tol=1e-8,
 def _build_control(cfg: dict) -> StepControl:
     _check_keys(cfg, {"method", "rtol", "atol", "t_end", "output_times",
                       "outputs"}, "control")
+    _reject_bools(cfg, "control")
     # "heun", the name of the integrator dopri5 replaced, stays accepted
     # as a legacy name: existing configs send it
     if cfg.get("method", "dopri5") not in ("dopri5", "heun"):
@@ -188,7 +201,7 @@ def _build_control(cfg: dict) -> StepControl:
         out = tuple(float(s) for s in cfg["output_times"])
     else:
         n = cfg.get("outputs", 51)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        if not isinstance(n, int) or n < 2:
             raise ConfigError("outputs in control must be an integer >= 2, "
                               f"got {n!r}")
         out = tuple(np.linspace(0.0, control.t_end, n))
@@ -331,10 +344,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
 
     needs_traj = any(e in config.experiments
                      for e in ("run", "gel", "contraction"))
-    trajectory = None
     opts = config.options
-    n_trunc = config.grid.x_max if opts["n_trunc"] is None \
-        else opts["n_trunc"]
     if needs_traj or "sweep" in config.experiments:
         # the operator reads the kernel at every pair of cell centres,
         # which the two outermost centres bound
@@ -343,10 +353,12 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
             eval_kernel(config.kernel, ends, ends)
         except DomainError as exc:
             raise ConfigError(f"kernel not defined on the grid: {exc}")
-    if needs_traj:
+        n_trunc = config.grid.x_max if opts["n_trunc"] is None \
+            else opts["n_trunc"]
         tables = build_tables(config.grid, config.kernel, n_trunc,
                               config.daughter, config.prob,
                               offgrid_loss=opts["offgrid_loss"])
+    if needs_traj:
         state0 = sample_initial(config.initial, config.grid)
         trajectory = integrate(tables, state0, config.control)
 
@@ -385,8 +397,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
         try:
             ic_g = _scaled_initial(config.initial, opts["perturbation"])
             res = contraction_experiment(tables, config.control,
-                                         config.initial, ic_g, report,
-                                         config.kernel.declared_k1)
+                                         trajectory, ic_g, report)
         except ConfigError as exc:
             raise ConfigError(f"contraction experiment rejected: {exc}")
         results["contraction"] = {
@@ -396,10 +407,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
             failures.append("contraction envelope violated")
 
     if "sweep" in config.experiments:
-        results["e_sweep"] = e_sweep(
-            config.grid, config.kernel, n_trunc, config.daughter,
-            config.initial, config.control, opts["sweep_E"],
-            config.kernel.declared_alpha, opts["offgrid_loss"])
+        results["e_sweep"] = e_sweep(tables, config.initial, config.control,
+                                     opts["sweep_E"])
 
     if "dlvp" in config.experiments:
         fine = make_grid(config.grid.x_min, config.grid.x_max, 3999)

@@ -1,22 +1,22 @@
 """Experiment layer: moment series, conservation and a priori bound checks,
-gelation detection, the uniqueness-contraction experiment, and the
-time-equicontinuity estimate.
+gelation detection, the uniqueness-contraction experiment against a main
+run, the time-equicontinuity estimate, and the E sweep of a main operator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .daughter import DaughterSpec, ProbSpec
+from .daughter import ProbSpec
 from .errors import ConfigError
-from .grid import Grid, InitialCondition, sample_initial
+from .grid import InitialCondition, sample_initial
 from .hypotheses import HypothesisReport
-from .kernels import KernelSpec
 from .solver import OperatorTables, StepControl, Trajectory, build_tables, \
     integrate
+
+_SLACK = 0.05                # relative headroom of the contraction envelope
 
 __all__ = [
     "MomentSeries",
@@ -131,12 +131,11 @@ class ContractionResult:
 
 
 def contraction_experiment(tables: OperatorTables, control: StepControl,
-                           ic_f: InitialCondition, ic_g: InitialCondition,
-                           report: HypothesisReport, k1: float,
-                           slack: float = 0.05) -> ContractionResult:
-    """Run two initial conditions through the same tables and compare the
-    weighted distance ``sum max(x^-a, x) |f - g|`` to its exponential
-    envelope with measured moment constants.
+                           traj_f: Trajectory, ic_g: InitialCondition,
+                           report: HypothesisReport) -> ContractionResult:
+    """Run the perturbed data ``ic_g`` through the tables of ``traj_f`` and
+    compare the weighted distance ``sum max(x^-a, x) |f - g|`` to its
+    exponential envelope with the declared k1 and measured moment constants.
     """
     needed = ("p1", "p2", "p40", "p500")
     unmet = [p for p in needed if report.checks[p].status != "pass"]
@@ -145,8 +144,10 @@ def contraction_experiment(tables: OperatorTables, control: StepControl,
             f"contraction experiment outside uniqueness hypotheses: {unmet}")
 
     g = tables.grid
-    traj_f = integrate(tables, sample_initial(ic_f, g), control)
     traj_g = integrate(tables, sample_initial(ic_g, g), control)
+    if not (np.array_equal(traj_f.grid.edges, g.edges)
+            and np.array_equal(traj_f.times, traj_g.times)):
+        raise ConfigError("traj_f needs the grid and output times of this run")
 
     alpha = report.alpha
     w = np.maximum(g.centers ** (-alpha), g.centers)
@@ -156,12 +157,12 @@ def contraction_experiment(tables: OperatorTables, control: StepControl,
     mf = moment_series(traj_f, orders)
     mg = moment_series(traj_g, orders)
     big_m = float(np.max(mf.values.sum(axis=1) + mg.values.sum(axis=1)))
-    rate = k1 * (1.0 + 2.0 ** (2.0 + alpha)
-                 + 2.0 * report.B_minus_alpha) * big_m
+    rate = tables.kernel.declared_k1 * (
+        1.0 + 2.0 ** (2.0 + alpha) + 2.0 * report.B_minus_alpha) * big_m
 
     t = traj_f.times - traj_f.times[0]
     if dist[0] > 0:
-        log_ok = np.log(dist[1:] / dist[0]) <= rate * t[1:] + math.log1p(slack)
+        log_ok = np.log(dist[1:] / dist[0]) <= rate * t[1:] + np.log1p(_SLACK)
         ok = bool(np.all(log_ok))
     else:
         ok = bool(np.max(dist) <= 1e-12 * float(np.max(np.abs(traj_f.densities @ (w * g.widths)))))
@@ -190,19 +191,19 @@ def equicontinuity_modulus(trajectory: Trajectory, alpha: float,
             "ok": bool(estimate <= bound)}
 
 
-def e_sweep(grid: Grid, kernel: KernelSpec, n_trunc: float,
-            daughter: DaughterSpec, ic: InitialCondition,
-            control: StepControl, E_values, alpha: float,
-            offgrid_loss: bool = False) -> list[dict]:
-    """Rerun one scenario template across constant coalescence
-    probabilities; reports diagnostics, asserts nothing.
+def e_sweep(tables: OperatorTables, ic: InitialCondition,
+            control: StepControl, E_values) -> list[dict]:
+    """Rerun the scenario of ``tables`` at each constant coalescence
+    probability in ``E_values``; reports diagnostics, asserts nothing.
     """
+    alpha = tables.kernel.declared_alpha
+    state0 = sample_initial(ic, tables.grid)
     rows = []
     for e0 in E_values:
-        tables = build_tables(grid, kernel, n_trunc, daughter,
-                              ProbSpec.constant(float(e0)),
-                              offgrid_loss=offgrid_loss)
-        traj = integrate(tables, sample_initial(ic, grid), control)
+        traj = integrate(build_tables(
+            tables.grid, tables.kernel, tables.n_trunc, tables.daughter,
+            ProbSpec.constant(float(e0)), offgrid_loss=tables.offgrid_loss),
+            state0, control)
         series = moment_series(traj, (0.0, -2.0 * alpha))
         mneg = series.order(-2.0 * alpha)
         rows.append({

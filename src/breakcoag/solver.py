@@ -193,6 +193,10 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         if not offgrid_loss:
             np.minimum(K, n_trunc, out=K)
             K[~live] = 0.0
+        # the gains read K(c_i, c_j) for i <= j only, the loss whole rows
+        if not np.allclose(K[:, :r + step], K_death[:r + step, r:r + step].T,
+                           rtol=1e-12, atol=0):
+            raise ConfigError("kernel must be symmetric, K(x, y) = K(y, x)")
         if broken is not None:
             np.subtract(1.0, eval_E(prob, x, c), out=broken[r:r + step])
             broken[r:r + step] *= np.where(live, K, 0.0)

@@ -195,10 +195,10 @@ def test_criterion_07_uniqueness_contraction():
     report = bc.check_scenario(kernel, daughter, prob, ic)
     ctrl = bc.StepControl(t_end=2.0,
                           output_times=tuple(np.linspace(0, 2, 11)))
-    res = bc.contraction_experiment(tables, ctrl, ic,
-                                    bc.InitialCondition.exponential(1.0,
-                                                                    mass=1.01),
-                                    report, k1=1.0)
+    traj_f = bc.integrate(tables, bc.sample_initial(ic, g), ctrl)
+    res = bc.contraction_experiment(
+        tables, ctrl, traj_f, bc.InitialCondition.exponential(1.0, mass=1.01),
+        report)
     margin = float(np.max(res.distance / (res.envelope() * 1.05)))
     _verdict(7, "contraction envelope", res.ok,
              f"max distance/envelope*1.05 = {margin:.3f} <= 1, "

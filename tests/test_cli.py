@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import breakcoag.cli as cli
+import breakcoag.diagnostics as diagnostics
 from breakcoag import DaughterSpec, InitialCondition, KernelSpec, ProbSpec
 from breakcoag.errors import ConfigError
 
@@ -173,7 +174,11 @@ class TestMain:
         "options.theta=1", "options.theta=NaN", "options.perturbation=0",
         "options.perturbation=-1", "options.perturbation=Infinity",
         "options.sweep_E=[2]", "options.sweep_E=[0.5,-0.1]",
-        "options.sweep_E=[NaN]"])
+        "options.sweep_E=[NaN]", "control.t_end=true", "control.rtol=true",
+        "control.atol=true", "initial.rate=true", "kernel.c=true",
+        "prob.value=true", "grid.x_max=true", "options.n_trunc=true",
+        "options.mass_tol=true", "options.sweep_E=[0.5,true]",
+        "options.moment_orders=[true]"])
     def test_malformed_value_exit_two(self, tmp_path, override):
         out = tmp_path / "results"
         code = cli.main(["run", _write(tmp_path, MINIMAL), "--out", str(out),
@@ -206,6 +211,32 @@ class TestMain:
         code = cli.main(["run", _write(tmp_path, cfg), "--out", str(out)])
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
+
+    def test_experiments_reuse_the_main_run(self, tmp_path, monkeypatch):
+        # contraction integrates only the perturbed data against the main
+        # trajectory; the sweep builds one operator per E from the main one
+        counts = {"integrate": 0, "build_tables": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (cli, diagnostics):
+            counted(module, "integrate")
+            counted(module, "build_tables")
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["prob"]["value"] = 0.5
+        cfg["experiments"] = ["run", "contraction", "sweep"]
+        cfg["options"] = {"sweep_E": [0.0, 0.5, 1.0]}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        assert counts == {"integrate": 5, "build_tables": 4}
+        exp = json.loads((out / "experiments.json").read_text())
+        assert exp["contraction"]["ok"] and len(exp["e_sweep"]) == 3
 
     def test_table_kernel_on_its_own_box_runs(self, tmp_path):
         # the growth check samples (1e-4, 1e4)^2 by default; a table that
@@ -274,6 +305,25 @@ class TestMain:
         assert not out.exists()
         # verify does not use the grid
         assert cli.main(["verify", path, "--out", str(tmp_path / "v")]) == 0
+
+    def test_asymmetric_kernel_table_exit_two(self, tmp_path, capsys):
+        # K(x_a, y_b) = a + 1 on axes that differ in their last point: the
+        # gains would read one half of K and the loss the other, leaking mass
+        x = np.geomspace(1e-3, 1e2, 5).tolist()
+        y = np.geomspace(1e-3, 1.0001e2, 5).tolist()
+        rows = [f"{u!r},{v!r},{a + 1.0!r}" for a, u in enumerate(x) for v in y]
+        (tmp_path / "kernel.csv").write_text("x,y,K\n" + "\n".join(rows))
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"] = {"x_min": 1e-3, "x_max": 1e2, "cells": 60}
+        cfg["kernel"] = {"family": "table",
+                         "path": str(tmp_path / "kernel.csv")}
+        cfg["daughter"] = {"family": "power_total", "nu": 0.0}
+        cfg["prob"]["value"] = 0.5
+        cfg["control"] = {"t_end": 2.0, "outputs": 6}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "symmetric" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_kernel_table_exit_two(self, tmp_path, capsys):
         axis = np.geomspace(1e-3, 1e2, 6).tolist()

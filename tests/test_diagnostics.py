@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,22 +113,40 @@ class TestContraction:
                                    bc.InitialCondition.exponential(1.0))
         ctrl = bc.StepControl(t_end=1.0,
                               output_times=tuple(np.linspace(0, 1, 6)))
-        return tables, ctrl, report
+        traj_f = bc.integrate(tables, bc.sample_initial(
+            bc.InitialCondition.exponential(1.0), grid), ctrl)
+        return tables, ctrl, traj_f, report
 
     def test_identical_inputs_zero_distance(self, small_grid):
-        tables, ctrl, report = self._setup(small_grid)
+        tables, ctrl, traj_f, report = self._setup(small_grid)
         ic = bc.InitialCondition.exponential(1.0)
-        res = bc.contraction_experiment(tables, ctrl, ic, ic, report, k1=1.0)
+        res = bc.contraction_experiment(tables, ctrl, traj_f, ic, report)
         assert res.ok
         assert_allclose(res.distance, 0.0, atol=1e-14)
 
     def test_perturbed_input_stays_under_envelope(self, small_grid):
-        tables, ctrl, report = self._setup(small_grid)
+        tables, ctrl, traj_f, report = self._setup(small_grid)
         res = bc.contraction_experiment(
-            tables, ctrl, bc.InitialCondition.exponential(1.0),
-            bc.InitialCondition.exponential(1.0, mass=1.01), report, k1=1.0)
+            tables, ctrl, traj_f,
+            bc.InitialCondition.exponential(1.0, mass=1.01), report)
         assert res.ok
         assert np.all(res.distance <= res.envelope() * 1.05 + 1e-14)
+
+    def test_trajectory_of_another_run_rejected(self, small_grid):
+        # the distance compares outputs pointwise: a trajectory at other
+        # output times or on another grid is not the run of these tables
+        tables, ctrl, traj_f, report = self._setup(small_grid)
+        ic = bc.InitialCondition.exponential(1.0)
+        other_times = dataclasses.replace(
+            ctrl, output_times=tuple(np.linspace(0, 1, 5)))
+        with pytest.raises(ConfigError, match="traj_f"):
+            bc.contraction_experiment(tables, other_times, traj_f, ic, report)
+        g = bc.make_grid(small_grid.x_min, small_grid.x_max,
+                         small_grid.cell_count + 1)
+        other_tables = bc.build_tables(g, tables.kernel, g.x_max,
+                                       tables.daughter, tables.prob)
+        with pytest.raises(ConfigError, match="traj_f"):
+            bc.contraction_experiment(other_tables, ctrl, traj_f, ic, report)
 
     def test_gate_rejects_non_uniqueness_scenario(self, small_grid):
         kernel = bc.KernelSpec.product()
@@ -138,11 +158,10 @@ class TestContraction:
                                    bc.InitialCondition.exponential(1.0))
         ctrl = bc.StepControl(t_end=0.2,
                               output_times=(0.0, 0.1, 0.2))
+        ic = bc.InitialCondition.exponential(1.0)
+        traj_f = bc.integrate(tables, bc.sample_initial(ic, small_grid), ctrl)
         with pytest.raises(ConfigError):
-            bc.contraction_experiment(tables, ctrl,
-                                      bc.InitialCondition.exponential(1.0),
-                                      bc.InitialCondition.exponential(1.0),
-                                      report, k1=1.0)
+            bc.contraction_experiment(tables, ctrl, traj_f, ic, report)
 
 
 class TestEquicontinuity:
@@ -179,10 +198,11 @@ class TestESweep:
     def test_rows_and_pure_coagulation_limit(self, small_grid):
         ctrl = bc.StepControl(t_end=0.5,
                               output_times=(0.0, 0.25, 0.5))
-        rows = bc.e_sweep(small_grid, bc.KernelSpec.constant(1.0),
-                          small_grid.x_max, bc.DaughterSpec.uniform(),
-                          bc.InitialCondition.exponential(1.0), ctrl,
-                          E_values=(0.0, 0.5, 1.0), alpha=0.0)
+        tables = bc.build_tables(small_grid, bc.KernelSpec.constant(1.0),
+                                 small_grid.x_max, bc.DaughterSpec.uniform(),
+                                 bc.ProbSpec.constant(1.0))
+        rows = bc.e_sweep(tables, bc.InitialCondition.exponential(1.0), ctrl,
+                          E_values=(0.0, 0.5, 1.0))
         assert [r["E"] for r in rows] == [0.0, 0.5, 1.0]
         for r in rows:
             assert r["mass_drift"] <= 1e-10
@@ -198,10 +218,9 @@ class TestESweep:
         ic = bc.InitialCondition.exponential(1.0)
         ctrl = bc.StepControl(t_end=0.12,
                               output_times=tuple(np.linspace(0, 0.12, 11)))
-        row, = bc.e_sweep(g, kernel, g.x_max, daughter, ic, ctrl,
-                          E_values=(0.5,), alpha=0.25)
         tables = bc.build_tables(g, kernel, g.x_max, daughter,
                                  bc.ProbSpec.constant(0.5))
+        row, = bc.e_sweep(tables, ic, ctrl, E_values=(0.5,))
         traj = bc.integrate(tables, bc.sample_initial(ic, g), ctrl)
         assert row["mass_drift"] == bc.check_mass_conservation(
             traj, 1e-8)["max_drift"]

@@ -293,6 +293,21 @@ class TestBuildTables:
                             bc.DaughterSpec.uniform(),
                             bc.ProbSpec.constant(0.5))
 
+    @pytest.mark.parametrize("block", [7, 2 ** 14])
+    def test_asymmetric_kernel_rejected(self, monkeypatch, block):
+        # K(x_a, y_b) = a + 1 grows in x only; its axes differ in the last
+        # point, so the table itself passes the shared-axis symmetry check
+        x = np.geomspace(1e-3, 1e2, 5)
+        y = np.geomspace(1e-3, 1.0001e2, 5)
+        K = np.repeat(np.arange(1.0, 6.0)[:, None], 5, axis=1)
+        kernel = bc.KernelSpec.table(x, y, K)
+        monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
+        g = bc.make_grid(1e-3, 1e2, 60)
+        with pytest.raises(ConfigError, match="symmetric"):
+            bc.build_tables(g, kernel, g.x_max,
+                            bc.DaughterSpec.power_total(0.0),
+                            bc.ProbSpec.constant(0.5))
+
 
 class TestApplyRhs:
     def test_zero_state_zero_rate(self, small_grid):
