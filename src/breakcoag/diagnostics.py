@@ -63,12 +63,27 @@ def check_mass_conservation(trajectory: Trajectory, tol: float) -> dict:
             "max_drift": float(np.max(drift)), "drift": drift}
 
 
+def _envelope_row(m: np.ndarray, start: float, rate: float,
+                  t: np.ndarray) -> dict:
+    """Largest ratio of ``m`` to the envelope ``start * exp(rate * t)``;
+    n/a when the envelope overflows."""
+    with np.errstate(over="ignore"):
+        env = start * np.exp(rate * t)
+    if not np.all(np.isfinite(env)):
+        return {"status": "n/a",
+                "reason": f"envelope exp({rate * t[-1]:.3g}) overflows"}
+    ratio = float(np.max(m / env))
+    return {"status": "pass" if ratio <= 1.0 + 1e-12 else "fail",
+            "max_ratio": ratio}
+
+
 def check_apriori_bounds(series: MomentSeries, report: HypothesisReport,
                          rho: float, k1: float) -> dict:
     """Exponential a priori envelopes on M_0 and M_{-2*alpha}.
 
     Marked not-applicable when the scenario's coalescence probability does
-    not meet its small-volume floor (report check p7).
+    not meet its small-volume floor (report check p7), or where an envelope
+    overflows.
     """
     out = {}
     if report.checks["p7"].status != "pass":
@@ -77,10 +92,7 @@ def check_apriori_bounds(series: MomentSeries, report: HypothesisReport,
 
     if report.beta_0 is not None:
         m0 = series.order(0.0)
-        env = (rho + m0[0]) * np.exp(k1 * report.beta_0 * rho * t)
-        ratio = float(np.max(m0 / env))
-        out["M0"] = {"status": "pass" if ratio <= 1.0 + 1e-12 else "fail",
-                     "max_ratio": ratio}
+        out["M0"] = _envelope_row(m0, rho + m0[0], k1 * report.beta_0 * rho, t)
     else:
         out["M0"] = {"status": "n/a"}
 
@@ -91,10 +103,7 @@ def check_apriori_bounds(series: MomentSeries, report: HypothesisReport,
     except KeyError:
         mneg = None
     if alpha > 0.0 and beta is not None and mneg is not None:
-        env = (mneg[0] + rho) * np.exp(k1 * beta * rho * t)
-        ratio = float(np.max(mneg / env))
-        out["Mneg"] = {"status": "pass" if ratio <= 1.0 + 1e-12 else "fail",
-                       "max_ratio": ratio}
+        out["Mneg"] = _envelope_row(mneg, mneg[0] + rho, k1 * beta * rho, t)
     else:
         out["Mneg"] = {"status": "n/a"}
     return out

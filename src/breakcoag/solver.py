@@ -25,10 +25,12 @@ Design notes
   blocks (gain at j, j + 1 and j - 1, top cell j, last ``K_death^T``) and
   one GEMV ``number @ stack`` plus shifted adds applies them.  On the
   first D diagonals d = j - i a bracket pair lands at a shift of j set by
-  d alone (clamped at the grid top): the band ``band_w`` holds it by
+  d alone (clamped at both grid ends): the band ``band_w`` holds it by
   destination, applied by one gather, ``einsum`` and ``bincount``.  D and
-  the shifts depend on the grid, daughter and ``n_trunc`` only; pairs off
-  both rules stay packed in ``rem_*``.  The top-cell stream deposits every
+  the shifts depend on the grid, daughter and ``n_trunc`` only.  Ties at
+  a center sit on it and bracket pairs clamped onto cell 0 take a padded
+  column, so every pair is in the blocks or the band (else the build
+  raises).  The top-cell stream deposits every
   complete cell below the top: a suffix sum over the cells, applied to
   the O(N) per-lump table ``lump_*``.  Under ``power_each`` parent j of
   each pair breaks at one rate ``n_j sum_i n_i K_ji (1 - E_ji)``, like a
@@ -78,21 +80,23 @@ def _pow_integral(a, b, ex):
 
 def _remap_points(centers, zbar, num):
     """Split lumps (number ``num`` at position ``zbar``) onto bracketing
-    cell centers, conserving number and mass; outside the center range the
-    deposit is single-cell and mass-preserving (number adjusted).
+    cell centers, conserving number and mass.  Outside the center range,
+    or within ``_TIE_ULPS`` ulps of a center, the deposit is single-cell
+    and mass-preserving (number adjusted), so rounding picks no bracket.
 
     Returns index arrays (l1, l2) and number weights (w1, w2).
     """
     zbar = np.asarray(zbar, dtype=float)
     num = np.asarray(num, dtype=float)
     n = centers.size
-    j = np.searchsorted(centers, zbar)
-    interior = (j > 0) & (j < n)
+    tol = _TIE_ULPS * np.spacing(centers)
+    j = np.searchsorted(centers - tol, zbar, side="right")
     jl = np.maximum(j - 1, 0)              # 0 <= j <= n
     jr = np.minimum(j, n - 1)
-    gap = centers[jr] - centers[jl]
-    gap = np.where(gap > 0, gap, 1.0)
-    w2 = np.where(interior, num * (zbar - centers[jl]) / gap, 0.0)
+    above = zbar - centers[jl]
+    interior = (j > 0) & (j < n) & (above > tol[jl])
+    gap = np.where(interior, centers[jr] - centers[jl], 1.0)
+    w2 = np.where(interior, num * above / gap, 0.0)
     w1 = np.where(interior, num - w2, num * zbar / centers[jl])
     return jl, jr, w1, w2
 
@@ -113,12 +117,8 @@ class OperatorTables:
     K_death: np.ndarray                # last block (view); gains cut it at n_trunc
     parent_w: np.ndarray | None        # per-parent (3, N): cells j, j - 1, top j
     band_w: np.ndarray                 # (G, 2, D, N + span) bracket pairs
-    band_shift: np.ndarray             # (G, D) lower bracket minus j
-    band_dest: np.ndarray              # (G, 2, N + span) clamped at the top
-    rem_i: np.ndarray                  # (R,) boundary pairs off both rules
-    rem_j: np.ndarray
-    rem_dest: np.ndarray               # (S, R) per stream; N + t is top cell t
-    rem_w: np.ndarray                  # (S, R) per-pair weights
+    band_shift: np.ndarray             # (G, D) lower bracket + pad - j
+    band_dest: np.ndarray              # (G, 2, N + span) clamped at both ends
     lump_src: np.ndarray               # (2N+1,) 0 sub-grid lump, k + 1 cell k
     lump_dest: np.ndarray              # (2N+1,) bracketing centers
     lump_w: np.ndarray                 # (2N+1,) numbers per unit scale
@@ -161,9 +161,9 @@ def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
 def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
                  daughter: DaughterSpec, prob: ProbSpec,
                  offgrid_loss: bool = False) -> OperatorTables:
-    """Precompute the weight blocks, band and boundary pairs of the
-    truncated system, whose gain kernel is ``min(K, n_trunc)`` (uncapped
-    with ``offgrid_loss``) where ``x + y < n_trunc`` and 0 elsewhere."""
+    """Precompute the weight blocks and band of the truncated system, whose
+    gain kernel is ``min(K, n_trunc)`` (uncapped with ``offgrid_loss``)
+    where ``x + y < n_trunc`` and 0 elsewhere."""
     if not 0 < n_trunc <= grid.x_max:
         raise ConfigError("truncation level must be positive and at most "
                           "the grid top")
@@ -233,7 +233,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
 
     # streams: coalescence and partial-cell brackets (lower, upper), top
     # cell; stream k deposits at base + j + offset[block] in the GEMV
-    # blocks, at base + min(j + shift + k % 2, N - 1) in the band
+    # blocks, at base + clip(j + shift + k % 2, 0, N - 1) in the band
     base, offset = np.array([0, 0, 0, N]), np.array([0, 1, -1, 0])
     # the shift of bracket pair k // 2 on diagonal d is read off the lower
     # bracket of the pair (0, d); the band holds the diagonals below the
@@ -243,34 +243,35 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     shift = dest - base[blocks, None] - np.arange(N)
     off = np.any(live & (shift != offset[blocks, None]), axis=0)
     D = np.max(off.nonzero()[0] + 1, initial=0)
-    band_shift = shift[::2, :D].copy()
+    # a bracket pair clamped onto cell 0 at both ends sits one cell below
+    # its diagonal's shift, in a column the band pads at the bottom
+    low = dest[::2, :D] == 0
+    low[:len(dest) // 2] &= dest[1::2, :D] == 0
+    pad = int(low.any())
+    band_shift = shift[::2, :D] - low + pad
     L = N + max(0, band_shift.max(initial=0))
     band_w = np.zeros((len(band_shift), 2, D, L))
     k = np.arange(len(blocks))
-    shift[:, :D] = band_shift[k // 2] + k[:, None] % 2
+    shift[:, :D] = band_shift[k // 2] - pad + k[:, None] % 2
     shift[:, D:] = offset[blocks, None]
     # blocks of _PAIR_BLOCK pairs along the diagonals from first[d] on
     first = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))
-    boundary, boundary_w = [], []
     for p0 in range(0, first[-1], _PAIR_BLOCK):
         p1 = min(p0 + _PAIR_BLOCK, first[-1])
         d = np.repeat(np.arange(N), np.diff(np.clip(first, p0, p1)))
         ju = np.arange(p0, p1) - first[d] + d
         iu = ju - d
         q = min(max(first[D] - p0, 0), p1 - p0)     # pairs [:q] in the band
-        cols, pair = [ju + sh[d] for sh in shift], streams(iu, ju)
-        regular = np.all([~live | (dest == base[b] + np.concatenate(
-            (np.minimum(col[:q], N - 1), col[q:])))
-            for (dest, _, live, b), col in zip(pair, cols)], axis=0)
-        gemv = regular & (d >= D)
-        cell = iu[gemv] * stack.shape[1] + ju[gemv]
-        for (_, w, _, b), col, g in zip(pair, cols, k):
-            band_w[g // 2, g % 2, d[:q], col[:q] - g % 2] = (w * regular)[:q]
-            stack.reshape(-1)[cell + b * N] += w[gemv]
-        boundary.append([x[~regular] for x in (iu, ju, *(t for t, *_ in pair))])
-        boundary_w.append([w[~regular] for _, w, *_ in pair])
-    rem_i, rem_j, *rem_dest = np.concatenate(boundary, axis=1)
-    band_dest = (np.minimum(np.arange(L) + np.c_[0:2], N - 1)
+        cell = iu[q:] * stack.shape[1] + ju[q:]
+        for (dest_k, w, live_k, b), sh, g in zip(streams(iu, ju), shift, k):
+            col = ju + sh[d]
+            # every live stream must land where the band or a block puts it
+            lands = np.concatenate((np.clip(col[:q], 0, N - 1), col[q:]))
+            if np.any(live_k & (dest_k != base[b] + lands)):
+                raise RuntimeError("a pair lands off the band and the blocks")
+            band_w[g // 2, g % 2, d[:q], col[:q] + pad - g % 2] = w[:q]
+            stack.reshape(-1)[cell + b * N] += w[q:]
+    band_dest = (np.clip(np.arange(L) - pad + np.c_[0:2], 0, N - 1)
                  + base[blocks[::2], None, None])
     lump_src, lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
@@ -278,8 +279,6 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, stack=stack,
         K_death=K_death, parent_w=parent_w,
         band_w=band_w, band_shift=band_shift, band_dest=band_dest,
-        rem_i=rem_i, rem_j=rem_j, rem_dest=np.array(rem_dest),
-        rem_w=np.concatenate(boundary_w, axis=1),
         lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
 
 
@@ -302,10 +301,7 @@ def _rates(tables: OperatorTables, density: np.ndarray):
     rows = L + D - tables.band_shift - _PARTNER * np.arange(D)
     window = as_strided(padded, (padded.size - L + 1, L), padded.strides * 2)
     cols = np.einsum("gbdm,gdm,gdm->gbm", tables.band_w, *window[rows])
-    P = number[tables.rem_i] * number[tables.rem_j]
-    out = (np.bincount(tables.band_dest.ravel(), cols.ravel(), 2 * N + 1)
-           + np.bincount(tables.rem_dest.ravel(), (tables.rem_w * P).ravel(),
-                         2 * N + 1))
+    out = np.bincount(tables.band_dest.ravel(), cols.ravel(), 2 * N + 1)
     gain = out[:N] + u[0]
     gain[1:] += u[1, :-1]
     gain[:-1] += u[2, 1:]
@@ -397,6 +393,7 @@ _DP_P = np.array([
 _CLIP_LIMIT = 1e-15
 _DT_MIN = 1e-12                      # step-size underflow guard, per horizon
 _PAIR_BLOCK = 2 ** 14                # upper-triangle pairs per build block
+_TIE_ULPS = 1024                     # a lump this close to a center sits on it
 _PARTNER = np.array([1, 0])[:, None, None]   # smaller partner j - d, larger j
 
 

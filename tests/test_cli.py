@@ -254,6 +254,28 @@ class TestMain:
         assert (out / "moments.csv").is_file()
         assert (out / "trajectory_0005.csv").is_file()
 
+    @pytest.mark.filterwarnings("error")
+    def test_table_kernel_run_asserts_mass(self, tmp_path):
+        # a table kernel leaves p2 and p400 n/a, but the capped system
+        # conserves mass whatever the kernel; its k1 = 200 overflows the
+        # M0 envelope, which is then n/a
+        axis = np.geomspace(1e-3, 1e2, 6).tolist()
+        rows = [f"{x!r},{y!r},{x + y!r}" for x in axis for y in axis]
+        (tmp_path / "kernel.csv").write_text("x,y,K\n" + "\n".join(rows))
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"] = {"x_min": 1e-3, "x_max": 1e2, "cells": 30}
+        cfg["kernel"] = {"family": "table",
+                         "path": str(tmp_path / "kernel.csv")}
+        cfg["daughter"] = {"family": "power_total", "nu": 0.0}
+        cfg["prob"]["value"] = 0.5
+        cfg["control"] = {"t_end": 2.0, "outputs": 6}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        exp = json.loads((out / "experiments.json").read_text())
+        assert exp["mass_conservation"]["asserted"]
+        assert exp["mass_conservation"]["ok"]
+        assert exp["apriori_bounds"]["M0"]["status"] == "n/a"
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_initial_table_exit_two(self, tmp_path, capsys, bad):
         rows = [f"{x!r},1.0" for x in np.geomspace(1e-3, 1e2, 8).tolist()]

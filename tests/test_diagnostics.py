@@ -55,6 +55,20 @@ class TestAprioriBounds:
         out = bc.check_apriori_bounds(series, report, rho=1.0, k1=1.0)
         assert out["M0"]["status"] == "pass"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_envelope_marked_na(self, small_grid):
+        # k1 = 1e4 puts exp(k1 beta_0 rho t) beyond the float range at t = 1
+        _, traj = _run(small_grid, bc.KernelSpec.constant(1.0),
+                       bc.ProbSpec.constant(1.0))
+        series = bc.moment_series(traj, (0.0, 1.0))
+        report = bc.check_scenario(bc.KernelSpec.constant(1.0),
+                                   bc.DaughterSpec.uniform(),
+                                   bc.ProbSpec.constant(1.0),
+                                   bc.InitialCondition.exponential(1.0))
+        out = bc.check_apriori_bounds(series, report, rho=1.0, k1=1e4)
+        assert out["M0"]["status"] == "n/a" and "max_ratio" not in out["M0"]
+        assert "overflows" in out["M0"]["reason"]
+
     def test_below_floor_marked_na(self, small_grid):
         # singular kernel requires E above its floor; E = 0.1 is under it
         kernel = bc.KernelSpec.sum_product(-0.25, 0.5)

@@ -76,7 +76,7 @@ def probs(draw, coalescence_only=False):
 def scenarios(draw, coalescence_only=False, offgrid_loss=None):
     """(tables, density) for one random scenario.  Some grids double every
     q cells (q <= 4): there 2 c_i falls on a cell centre up to rounding,
-    so diagonal pairs tie between brackets and stay packed."""
+    and the tie rule puts it on that centre."""
     n = draw(st.integers(1, 40))
     x_max = draw(st.sampled_from([10.0, 1e2, 1e3, None]))
     if x_max is None:
@@ -138,7 +138,7 @@ def test_rhs_matches_dense_reference(case):
 
 
 @given(scenarios())
-def test_blocks_and_remainder_carry_each_pair_once(case):
+def test_blocks_and_band_carry_each_pair_once(case):
     tables, _ = case
     N = tables.grid.cell_count
     blocks = tables.stack.reshape(N, -1, N).transpose(1, 0, 2)
@@ -168,8 +168,6 @@ def test_blocks_and_remainder_carry_each_pair_once(case):
     assert np.all((d <= j) & (j < N))
     np.add.at(got, (j - d, j, tables.band_dest[g, b, m]),
               tables.band_w[g, b, d, m])
-    for dest, w in zip(tables.rem_dest, tables.rem_w):
-        np.add.at(got, (tables.rem_i, tables.rem_j, dest), w)
     # entries (i, j) and (j, i) carry the same pair
     lower = np.tril_indices(N, -1)
     got[lower[1], lower[0]] += got[lower]
@@ -207,7 +205,6 @@ def test_no_fragment_gain_when_E_is_one(case):
     else:
         assert not tables.stack[:, 2 * N:3 * N].any()   # the breakage block
     assert not tables.band_w[1:].any()       # the fragment bracket pairs
-    assert not tables.rem_w[2:].any()
 
 
 phis = (st.sampled_from([("power", 0.0), ("power", 1.0)])

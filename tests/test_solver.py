@@ -83,7 +83,7 @@ def dense_fragments(tables):
 def _reference_rhs(tables, density):
     """Slow evaluation straight from the dense kernels, per-pair and
     fragment tables; the production path uses the stacked blocks, the
-    band, the packed boundary pairs and the suffix sum and must agree."""
+    band and the suffix sum and must agree."""
     g = tables.grid
     N = g.cell_count
     d = dense_deposits(tables)
@@ -115,6 +115,41 @@ def _tables(grid, kernel=None, daughter=None, prob=None, **kw):
                            grid.x_max,
                            daughter or bc.DaughterSpec.power_total(0.0),
                            prob or bc.ProbSpec.constant(0.5), **kw)
+
+
+def _bracket_split(centers, zbar, num):
+    """The bracket split of one lump without the tie rule."""
+    n = centers.size
+    j = int(np.searchsorted(centers, zbar))
+    if j == 0 or j == n:
+        m = min(j, n - 1)
+        return m, m, num * zbar / centers[m], 0.0
+    w2 = num * (zbar - centers[j - 1]) / (centers[j] - centers[j - 1])
+    return j - 1, j, num - w2, w2
+
+
+class TestRemapPoints:
+    @pytest.mark.parametrize("m", [0, 20, 47])
+    def test_lump_near_a_centre_sits_on_it(self, m):
+        c = bc.make_grid(1.0, 2.0 ** 12, 48).centers
+        ulp = np.spacing(c[m])
+        k = np.concatenate((np.arange(-8, 9),
+                            [-solver._TIE_ULPS, solver._TIE_ULPS]))
+        zbar = c[m] + k * ulp
+        l1, l2, w1, w2 = _remap_points(c, zbar, 3.0)
+        assert np.all(l1 == m) and np.all(l2 == min(m + 1, c.size - 1))
+        assert np.all(w2 == 0.0)
+        # mass kept, the number off by the lump's distance in ulps
+        assert_allclose(w1 * c[m], 3.0 * zbar, rtol=4e-16, atol=0.0)
+        assert np.all(np.abs(w1 - 3.0) <= 3.0 * (np.abs(k) + 2) * ulp / c[m])
+
+    @pytest.mark.parametrize("m", [0, 20, 47])
+    def test_lump_just_outside_the_tie_splits_as_before(self, m):
+        c = bc.make_grid(1.0, 2.0 ** 12, 48).centers
+        for k in (-solver._TIE_ULPS - 1, solver._TIE_ULPS + 1):
+            zbar = c[m] + k * np.spacing(c[m])
+            got = [float(x) for x in _remap_points(c, zbar, 3.0)]
+            assert got == [float(x) for x in _bracket_split(c, zbar, 3.0)]
 
 
 class TestBuildTables:
@@ -224,22 +259,59 @@ class TestBuildTables:
         ((1.0, 2.0 ** 12, 48), bc.DaughterSpec.power_total(0.0), 1e-2),
         ((1.0, 2.0 ** 12, 48), bc.DaughterSpec.power_each(0.0), 1e-2),
     ], ids=["coarse", "doubling-power_total", "doubling-power_each"])
-    def test_boundary_pairs_stay_packed(self, grid, daughter, rate):
-        # coarse: the first pair (0, 0) of the diagonal d = 0 has its lower
-        # partial-cell bracket clamped to cell 0, so (1, 1) and (2, 2)
-        # break the shift read off it.  Doubling: on edges at ratio
-        # 2^(1/4), 2 c_i falls on a cell centre up to rounding, so pairs
-        # (i, i) tie between two brackets and break it too
+    def test_boundary_pairs_ride_the_band(self, grid, daughter, rate):
+        # coarse: the partial cell of the pair (0, 0) lies below c_0, so
+        # both its brackets clamp onto cell 0, one cell below the shift
+        # that (1, 1) and (2, 2) keep.  Doubling: on edges at ratio
+        # 2^(1/4), 2 c_i falls on a cell centre up to rounding, and the
+        # tie rule puts every pair (i, i) on that centre
         g = bc.make_grid(*grid)
         t = _tables(g, daughter=daughter)
-        assert t.rem_i.size > 0 and t.rem_w.any()
-        assert np.all(t.rem_i == t.rem_j)
         density = bc.sample_initial(bc.InitialCondition.exponential(rate),
                                     g).density
         ref = _reference_rhs(t, density)
         death = density * (t.K_death @ (density * g.widths))
         assert np.all(np.abs(_rhs(t, density) - ref)
                       <= 1e-12 * (np.abs(ref + death) + death))
+        if grid[2] == 3:
+            # column m of the partial-cell bracket pair holds the pair
+            # (0, 0) at m = shift, (1, 1) at m = shift + 1
+            assert t.band_w.shape[2] >= 1
+            m = t.band_shift[1, 0]
+            assert t.band_w[1, 0, 0, m] > 0
+            assert np.all(t.band_dest[1, :, m] == 0)
+            assert t.band_dest[1, 0, m + 1] == 0
+
+    def test_band_carries_every_pair_of_the_grid_families(self):
+        # doubling grids, whose diagonal pairs tie, and coarse grids, whose
+        # pair (0, 0) clamps at cell 0 under nu < 0: the build raises if a
+        # live stream lands off both the band and the GEMV blocks.  On the
+        # last three doubling grids 2 c_i is up to 39 ulps off its centre
+        doubling = [(1e-3, 1e-3 * 2.0 ** (n / q), n)
+                    for q in range(1, 5) for n in range(2, 41)] + [
+            (x, x * 2.0 ** (n / q), n) for x, n, q in (
+                (4.927562987105478, 56, 4), (0.25551993632134934, 60, 1),
+                (9.892635442357246, 36, 1))]
+        coarse = [(1e-3, 1e3, n) for n in range(2, 13)]
+        families = [
+            (doubling, [bc.DaughterSpec.power_total(0.0),
+                        bc.DaughterSpec.power_total(-0.5),
+                        bc.DaughterSpec.power_each(0.0)]),
+            (coarse, [bc.DaughterSpec.power_total(nu)
+                      for nu in (-0.9, -0.5, -0.39)])]
+        clamps = 0
+        for grids, daughters in families:
+            for grid in grids:
+                g = bc.make_grid(*grid)
+                for daughter in daughters:
+                    for n_trunc in (g.x_max, 0.6 * g.x_max):
+                        t = bc.build_tables(
+                            g, bc.KernelSpec.sum_product(0.0, 1.0), n_trunc,
+                            daughter, bc.ProbSpec.constant(0.5))
+                        # a padded band sends its first two columns to cell 0
+                        clamps += (t.band_w.shape[2] > 0
+                                   and t.band_dest[0, 0, 1] == 0)
+        assert clamps > 0
 
     @pytest.mark.parametrize("N, kernel, daughter, prob", [
         (120, bc.KernelSpec.sum_product(-0.25, 0.5),
@@ -254,7 +326,6 @@ class TestBuildTables:
                                                      daughter, prob):
         t = _tables(bc.make_grid(1e-4, 1e3, N), kernel=kernel,
                     daughter=daughter, prob=prob)
-        assert t.rem_i.size == 0
         assert t.band_w.any()
 
     @pytest.mark.parametrize("grid, daughter", [
@@ -267,8 +338,7 @@ class TestBuildTables:
         layouts = []
         for E in (0.0, 0.5, 1.0):
             t = _tables(g, daughter=daughter, prob=bc.ProbSpec.constant(E))
-            layouts.append((t.band_w.shape, t.band_shift, t.band_dest,
-                            t.rem_i, t.rem_j, t.rem_dest))
+            layouts.append((t.band_w.shape, t.band_shift, t.band_dest))
         for layout in layouts[1:]:
             for a, b in zip(layouts[0], layout):
                 assert np.array_equal(a, b)
