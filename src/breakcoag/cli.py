@@ -194,6 +194,8 @@ def _build_control(cfg: dict) -> StepControl:
     if cfg.get("method", "dopri5") not in ("dopri5", "heun"):
         raise ConfigError(f"unknown method {cfg['method']!r}: the only "
                           "integrator is 'dopri5'")
+    if "outputs" in cfg and "output_times" in cfg:
+        raise ConfigError("control takes outputs or output_times, not both")
     tolerances = {key: cfg[key] for key in ("rtol", "atol") if key in cfg}
     control = StepControl(t_end=float(_require(cfg, "t_end", "control")),
                           **tolerances)

@@ -21,24 +21,30 @@ Design notes
 * Operator layout.  A pair (i <= j) deposits through streams: coalescence
   brackets, partial fragment cell brackets, fragment top cell.  Away from
   the diagonal they sit at fixed offsets from the larger partner's cell j
-  (j and j + 1, j - 1 and j, top j), so ``stack`` holds five (N, N) weight
-  blocks (gain at j, j + 1 and j - 1, top cell j, last ``K_death^T``) and
-  one GEMV ``number @ stack`` plus shifted adds applies them.  On the
-  first D diagonals d = j - i a bracket pair lands at a shift of j set by
-  d alone (clamped at both grid ends): the band ``band_w`` holds it by
-  destination, applied by one gather, ``einsum`` and ``bincount``.  D and
-  the shifts depend on the grid, daughter and ``n_trunc`` only.  Ties at
-  a center sit on it and bracket pairs clamped onto cell 0 take a padded
-  column, so every pair is in the blocks or the band (else the build
-  raises).  The top-cell stream deposits every
-  complete cell below the top: a suffix sum over the cells, applied to
-  the O(N) per-lump table ``lump_*``.  Under ``power_each`` parent j of
+  (j and j + 1, j - 1 and j, top j), so four gain blocks (gain at j, j + 1
+  and j - 1, top cell j) hold their weights and shifted adds apply the
+  products ``number @ block``.  A gain block holds only the pairs
+  j - i >= D, a triangle, kept as row panels in the flat ``gain_w``: panel
+  p holds rows r_p = p ``_PANEL_ROWS`` up to the next panel's, columns
+  r_p + D on, and takes one GEMV with those rows of the numbers.
+  ``stack`` holds the full blocks, ``K_death^T`` last, applied by one
+  GEMV.  On the first D diagonals d = j - i a bracket pair lands at a
+  shift of j set by d alone (clamped at both grid ends): the band
+  ``band_w`` holds it by destination, applied by one gather, ``einsum``
+  and ``bincount``.  D and the shifts depend on the grid, daughter and
+  ``n_trunc`` only.  Ties at a center sit on it and bracket pairs
+  clamped onto cell 0 take a padded column, so every pair is in the
+  blocks or the band (else the build raises).  The top-cell stream
+  deposits every complete cell below the top: a suffix sum over the
+  cells, applied to the O(N) per-lump table ``lump_*``.  Under
+  ``power_each`` parent j of
   each pair breaks at one rate ``n_j sum_i n_i K_ji (1 - E_ji)``, like a
   pair of total size c_j (top cell j, partial cell [e_j, c_j] bracketed
   at j - 1 and j), spread by the (3, N) ``parent_w`` from a breakage
-  block ``(K (1 - E))^T`` of the gain kernel, or from the death block if
-  the kernel is capped and E constant (1 - E then rides in
-  ``parent_w``).  K and E enter only through these weights, and the
+  block ``(K (1 - E))^T`` of the gain kernel, first in ``stack``, or
+  from the death block if the kernel is capped and E constant (1 - E
+  then rides in ``parent_w``); its two coalescence blocks are the gain
+  panels.  K and E enter only through these weights, and the
   weak-form residual reads its rates through the same ``_rates``.
 * ``build_tables`` works in row blocks of the kernel and in blocks of
   ``_PAIR_BLOCK`` pairs along the diagonals, filling the tables in place,
@@ -113,8 +119,11 @@ class OperatorTables:
     prob: ProbSpec
     n_trunc: float
     offgrid_loss: bool
-    stack: np.ndarray                  # (N, 5N); per-parent (N, 3N) or (N, 4N)
+    stack: np.ndarray                  # (N, N) K_death^T, per-parent (N, 2N)
+                                       # after (K (1 - E))^T unless 1 - E folds
     K_death: np.ndarray                # last block (view); gains cut it at n_trunc
+    gain_w: np.ndarray                 # panels of 4 gain blocks, per-parent 2
+    panel_off: np.ndarray              # (2, P + 1) first row, flat start
     parent_w: np.ndarray | None        # per-parent (3, N): cells j, j - 1, top j
     band_w: np.ndarray                 # (G, 2, D, N + span) bracket pairs
     band_shift: np.ndarray             # (G, D) lower bracket + pad - j
@@ -177,9 +186,10 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     c = grid.centers
     N = c.size
     fold = daughter.per_parent and prob.form == "constant" and not offgrid_loss
-    stack = np.zeros((N, (3 if fold else 4 if daughter.per_parent else 5) * N))
+    own_break = daughter.per_parent and not fold
+    stack = np.zeros((N, (2 if own_break else 1) * N))
     K_death = stack[:, -N:].T
-    broken = None if fold or not daughter.per_parent else stack[:, 2 * N:3 * N].T
+    broken = stack[:, :N].T if own_break else None
     # offgrid_loss drops the rate cap and keeps the raw kernel in the loss
     # term: pairs whose product leaves the grid still collide but produce
     # nothing representable, so mass genuinely leaks to large sizes — the
@@ -254,6 +264,14 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     k = np.arange(len(blocks))
     shift[:, :D] = band_shift[k // 2] - pad + k[:, None] % 2
     shift[:, D:] = offset[blocks, None]
+    # panel p holds rows [r_p, r_{p+1}) of the gain blocks from column
+    # r_p + D on, W_p = N - D - r_p wide: row i holds its blocks one
+    # after another, block b of the pair (i, j) at b W_p + j - r_p - D
+    n_gain = 2 if daughter.per_parent else 4
+    rows = np.append(np.arange(0, N - D, _PANEL_ROWS), N - D)
+    panel_off = np.array([rows, np.concatenate(([0], np.cumsum(
+        np.diff(rows) * n_gain * (N - D - rows[:-1]))))])
+    gain_w = np.zeros(panel_off[1, -1])
     # blocks of _PAIR_BLOCK pairs along the diagonals from first[d] on
     first = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))
     for p0 in range(0, first[-1], _PAIR_BLOCK):
@@ -262,7 +280,11 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         ju = np.arange(p0, p1) - first[d] + d
         iu = ju - d
         q = min(max(first[D] - p0, 0), p1 - p0)     # pairs [:q] in the band
-        cell = iu[q:] * stack.shape[1] + ju[q:]
+        panel = iu[q:] // _PANEL_ROWS
+        r = rows[panel]
+        width = N - D - r
+        cell = (panel_off[1, panel] + (iu[q:] - r) * n_gain * width
+                + ju[q:] - r - D)
         for (dest_k, w, live_k, b), sh, g in zip(streams(iu, ju), shift, k):
             col = ju + sh[d]
             # every live stream must land where the band or a block puts it
@@ -270,14 +292,14 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
             if np.any(live_k & (dest_k != base[b] + lands)):
                 raise RuntimeError("a pair lands off the band and the blocks")
             band_w[g // 2, g % 2, d[:q], col[:q] + pad - g % 2] = w[:q]
-            stack.reshape(-1)[cell + b * N] += w[q:]
+            gain_w[cell + b * width] += w[q:]
     band_dest = (np.clip(np.arange(L) - pad + np.c_[0:2], 0, N - 1)
                  + base[blocks[::2], None, None])
     lump_src, lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, stack=stack,
-        K_death=K_death, parent_w=parent_w,
+        K_death=K_death, gain_w=gain_w, panel_off=panel_off, parent_w=parent_w,
         band_w=band_w, band_shift=band_shift, band_dest=band_dest,
         lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
 
@@ -288,15 +310,22 @@ def _rates(tables: OperatorTables, density: np.ndarray):
     N = g.cell_count
     number = density * g.widths
     v = (number @ tables.stack).reshape(-1, N)
-    u = number * v[:-1]
+    _, _, D, L = tables.band_w.shape
+    u = np.zeros((4 if tables.parent_w is None else 2, N))
+    first, off = tables.panel_off.tolist()
+    for r0, r1, o0, o1 in zip(first, first[1:], off, off[1:]):
+        # adding into a view skips the copy back of ``u[:, a:] += ...``
+        cols = u[:, r0 + D:]
+        cols += (number[r0:r1] @ tables.gain_w[o0:o1].reshape(
+            r1 - r0, -1)).reshape(len(u), -1)
+    u *= number
     if tables.parent_w is not None:
-        # n_j v[2]_j breaks parent j: v[2] is K (1 - E) n, or K n with the
+        # n_j v[0]_j breaks parent j: v[0] is K (1 - E) n, or K n with the
         # constant 1 - E in parent_w
-        w = tables.parent_w * (number * v[2])
+        w = tables.parent_w * (number * v[0])
         u = np.array([u[0] + w[0], u[1], w[1], w[2]])
     # column m of diagonal d in bracket pair g is the pair (m - shift - d,
     # m - shift): one gather reads both rows off the zero-padded numbers
-    _, _, D, L = tables.band_w.shape
     padded = np.concatenate((np.zeros(L + D), number, np.zeros(L + D)))
     rows = L + D - tables.band_shift - _PARTNER * np.arange(D)
     window = as_strided(padded, (padded.size - L + 1, L), padded.strides * 2)
@@ -393,6 +422,7 @@ _DP_P = np.array([
 _CLIP_LIMIT = 1e-15
 _DT_MIN = 1e-12                      # step-size underflow guard, per horizon
 _PAIR_BLOCK = 2 ** 14                # upper-triangle pairs per build block
+_PANEL_ROWS = 128                    # gain block rows per panel
 _TIE_ULPS = 1024                     # a lump this close to a center sits on it
 _PARTNER = np.array([1, 0])[:, None, None]   # smaller partner j - d, larger j
 

@@ -276,6 +276,40 @@ class TestMain:
         assert exp["mass_conservation"]["ok"]
         assert exp["apriori_bounds"]["M0"]["status"] == "n/a"
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_initial_mass_runs(self, tmp_path):
+        # no particles: M0 stays 0 under the envelope rho + M0(0) = 0
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"] = {"x_min": 1e-4, "x_max": 1e3, "cells": 40}
+        cfg["kernel"] = {"family": "sum_product", "zeta": 0.0, "eta": 1.0}
+        cfg["daughter"] = {"family": "power_total", "nu": 0.0}
+        cfg["prob"]["value"] = 0.5
+        cfg["initial"]["mass"] = 0.0
+        cfg["control"] = {"t_end": 0.1, "outputs": 6}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        exp = json.loads((out / "experiments.json").read_text())
+        assert exp["apriori_bounds"]["M0"] == {"status": "pass",
+                                               "max_ratio": 0.0}
+        assert exp["failures"] == []
+
+    def test_outputs_and_output_times_exit_two(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["control"]["output_times"] = [0.0, 0.5, 1.0]
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "outputs" in err and "output_times" in err
+        assert not out.exists()
+        # either key alone is read, and a malformed one still exits 2
+        for control in ({"output_times": [0.0, 0.5, 1.0]},
+                        {"outputs": 3}):
+            cfg["control"] = {"t_end": 1.0, **control}
+            assert cli.parse_config(
+                _write(tmp_path, cfg)).control.output_times == (0.0, 0.5, 1.0)
+        cfg["control"] = {"t_end": 1.0, "output_times": 5}
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 2
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_initial_table_exit_two(self, tmp_path, capsys, bad):
         rows = [f"{x!r},1.0" for x in np.geomspace(1e-3, 1e2, 8).tolist()]

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import breakcoag as bc
 from breakcoag.solver import _phi_values, _rhs
 from test_solver import (_reference_rhs, dense_deposits, dense_fragments,
-                         dense_kernels)
+                         dense_gain_blocks, dense_kernels)
 
 X_MIN = 1e-3
 
@@ -141,17 +141,23 @@ def test_rhs_matches_dense_reference(case):
 def test_blocks_and_band_carry_each_pair_once(case):
     tables, _ = case
     N = tables.grid.cell_count
-    blocks = tables.stack.reshape(N, -1, N).transpose(1, 0, 2)
+    D = tables.band_w.shape[2]
+    blocks = dense_gain_blocks(tables)
+    # the panels hold no pair of the band's diagonals j - i < D
+    i, j = np.indices((N, N))
+    assert not blocks[:, j - i < D].any()
+    full = tables.stack.reshape(N, -1, N).transpose(1, 0, 2)
     # (weights, offset): column j of the weights deposits at j + offset
     if tables.parent_w is None:
-        placed = zip(blocks[:-1], (0, 1, -1, N))
+        assert len(full) == 1
+        placed = zip(blocks, (0, 1, -1, N))
     else:
-        # parent j breaks at rate n_j (n @ blocks[2])_j and spreads it by
+        # parent j breaks at rate n_j (n @ full[0])_j and spreads it by
         # its weights: partial cell at j and j - 1, top cell j
         fold = tables.prob.form == "constant" and not tables.offgrid_loss
-        assert len(blocks) == (3 if fold else 4)
+        assert len(full) == (1 if fold else 2)
         placed = [(blocks[0], 0), (blocks[1], 1)] + [
-            (blocks[2] * w, offset)
+            (full[0] * w, offset)
             for w, offset in zip(tables.parent_w, (0, -1, N))]
     got = np.zeros((N, N, 2 * N + 1))      # N + t is the top cell t
     for weights, offset in placed:
@@ -176,7 +182,7 @@ def test_blocks_and_band_carry_each_pair_once(case):
     cells = got[..., :N] + got[..., N:] @ prefix
     assert_allclose(cells, _deposits(tables), rtol=1e-14, atol=0.0)
     # the death block is the kernel capped and cut, or raw with offgrid_loss
-    assert_array_equal(blocks[-1].T, dense_kernels(tables)[1])
+    assert_array_equal(full[-1].T, dense_kernels(tables)[1])
 
 
 @given(scenarios(offgrid_loss=False))
@@ -199,11 +205,12 @@ def test_no_fragment_gain_when_E_is_one(case):
                   <= 1e-12 * scale)
     N = tables.grid.cell_count
     if tables.parent_w is None:
-        assert not tables.stack[:, 2 * N:-N].any()
-    elif tables.stack.shape[1] == 3 * N:
+        # the partial cell's lower bracket and the top cell
+        assert not dense_gain_blocks(tables)[2:].any()
+    elif tables.stack.shape[1] == N:
         assert not tables.parent_w.any()       # the weights carry 1 - E
     else:
-        assert not tables.stack[:, 2 * N:3 * N].any()   # the breakage block
+        assert not tables.stack[:, :N].any()   # the breakage block
     assert not tables.band_w[1:].any()       # the fragment bracket pairs
 
 

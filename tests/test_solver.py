@@ -80,10 +80,25 @@ def dense_fragments(tables):
     return prefix, parent
 
 
+def dense_gain_blocks(tables):
+    """The gain blocks read off the row panels as dense (n_gain, N, N)
+    arrays: entry [b, i, j] is the weight of the pair (i, j) in block b,
+    zero on the first D diagonals and wherever no panel reaches."""
+    N = tables.grid.cell_count
+    D = tables.band_w.shape[2]
+    rows, off = tables.panel_off
+    assert rows[0] == 0 and rows[-1] == N - D and off[-1] == tables.gain_w.size
+    blocks = np.zeros((4 if tables.parent_w is None else 2, N, N))
+    for r0, r1, o0, o1 in zip(rows, rows[1:], off, off[1:]):
+        panel = tables.gain_w[o0:o1].reshape(r1 - r0, len(blocks), -1)
+        blocks[:, r0:r1, r0 + D:] = panel.transpose(1, 0, 2)
+    return blocks
+
+
 def _reference_rhs(tables, density):
     """Slow evaluation straight from the dense kernels, per-pair and
-    fragment tables; the production path uses the stacked blocks, the
-    band and the suffix sum and must agree."""
+    fragment tables; the production path uses the gain panels, the full
+    blocks, the band and the suffix sum and must agree."""
     g = tables.grid
     N = g.cell_count
     d = dense_deposits(tables)
@@ -115,6 +130,17 @@ def _tables(grid, kernel=None, daughter=None, prob=None, **kw):
                            grid.x_max,
                            daughter or bc.DaughterSpec.power_total(0.0),
                            prob or bc.ProbSpec.constant(0.5), **kw)
+
+
+def _held_bytes(tables):
+    """Bytes of the buffers the tables hold, each view counted once."""
+    roots = {}
+    for v in vars(tables).values():
+        if isinstance(v, np.ndarray):
+            while v.base is not None:
+                v = v.base
+            roots[id(v)] = v
+    return sum(a.nbytes for a in roots.values())
 
 
 def _bracket_split(centers, zbar, num):
@@ -183,18 +209,20 @@ class TestBuildTables:
         axis = np.geomspace(1e-3, 1e3, 5)
         table = bc.ProbSpec.table(axis, axis, 0.2 + 0.1 * np.add.outer(
             np.arange(5), np.arange(5)))
-        # constant, floor and table E, and offgrid_loss; per-parent
-        # breakage reads the death product when 1 - E folds into its
-        # weights, a breakage block otherwise
+        # constant, floor and table E, and offgrid_loss; the gain blocks
+        # sit in the flat panels, and per-parent breakage reads the death
+        # product when 1 - E folds into its weights, a breakage block
+        # otherwise
         for kw in ({}, {"prob": bc.ProbSpec.small_volume_floor(0.6, 0.2)},
                    {"prob": table}, {"offgrid_loss": True}):
             fold = "prob" not in kw and "offgrid_loss" not in kw
-            for daughter, blocks in ((bc.DaughterSpec.power_total(0.0), 5),
+            for daughter, blocks in ((bc.DaughterSpec.power_total(0.0), 1),
                                      (bc.DaughterSpec.power_each(0.0),
-                                      3 if fold else 4)):
+                                      1 if fold else 2)):
                 t = _tables(g, kernel=bc.KernelSpec.constant(1.0),
                             daughter=daughter, **kw)
                 assert t.stack.shape == (N, blocks * N)
+                assert t.gain_w.ndim == 1
                 dense = {name for name, v in vars(t).items()
                          if isinstance(v, np.ndarray)
                          and sum(n >= N for n in v.shape) >= 2}
@@ -245,14 +273,21 @@ class TestBuildTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        roots = {}
-        for v in vars(t).values():
-            if isinstance(v, np.ndarray):
-                while v.base is not None:
-                    v = v.base
-                roots[id(v)] = v
-        held = sum(a.nbytes for a in roots.values())
-        assert peak <= 1.4 * held
+        assert peak <= 1.4 * _held_bytes(t)
+
+    def test_gain_panels_hold_the_pair_triangle(self):
+        # the fine-grid workload's operator: per-parent, two gain blocks
+        N = 800
+        t = _tables(bc.make_grid(1e-4, 1e3, N),
+                    daughter=bc.DaughterSpec.power_each(0.0))
+        D, B = t.band_w.shape[2], solver._PANEL_ROWS
+        panels = -(-(N - D) // B)
+        # pairs j - i >= D per block, plus the zero corner of each panel
+        gains = 2 * ((N - D) * (N - D + 1) // 2 + panels * B * B // 2)
+        assert t.gain_w.size <= gains
+        # beside the death block, the panels and the band only O(N) tables
+        assert _held_bytes(t) <= (8 * (N * N + gains) + t.band_w.nbytes
+                                  + 8 * 16 * N)
 
     @pytest.mark.parametrize("grid, daughter, rate", [
         ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39), 1.0),
@@ -281,6 +316,33 @@ class TestBuildTables:
             assert t.band_w[1, 0, 0, m] > 0
             assert np.all(t.band_dest[1, :, m] == 0)
             assert t.band_dest[1, 0, m + 1] == 0
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("grid, daughter, rate", [
+        ((1e-3, 8e-3, 5), bc.DaughterSpec.power_total(0.0), 1.0),
+        ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39), 1.0),
+        ((1.0, 2.0 ** 12, 48), bc.DaughterSpec.power_total(0.0), 1e-2),
+        ((1.0, 2.0 ** 12, 48), bc.DaughterSpec.power_each(0.0), 1e-2),
+    ], ids=["band-only", "coarse", "doubling-power_total",
+            "doubling-power_each"])
+    def test_panel_rows_do_not_matter(self, monkeypatch, grid, daughter,
+                                      rate, rows):
+        # rows=None: one panel of N rows.  band-only: every pair lies on
+        # the band's D = N diagonals, so there are no panels
+        g = bc.make_grid(*grid)
+        N = g.cell_count
+        monkeypatch.setattr(solver, "_PANEL_ROWS", rows or N)
+        t = _tables(g, daughter=daughter)
+        D = t.band_w.shape[2]
+        assert t.panel_off.shape[1] - 1 == -(-(N - D) // (rows or N))
+        if grid[1] == 8e-3:
+            assert D == N and t.gain_w.size == 0
+        density = bc.sample_initial(bc.InitialCondition.exponential(rate),
+                                    g).density
+        ref = _reference_rhs(t, density)
+        death = density * (t.K_death @ (density * g.widths))
+        assert np.all(np.abs(_rhs(t, density) - ref)
+                      <= 1e-12 * (np.abs(ref + death) + death))
 
     def test_band_carries_every_pair_of_the_grid_families(self):
         # doubling grids, whose diagonal pairs tie, and coarse grids, whose
