@@ -307,31 +307,26 @@ def _write_csv(path: Path, header: list, table, config_hash: str,
 
 def _dumps(payload) -> str:
     """Strict JSON: non-finite floats (n/a residuals) are written as null."""
-    return json.dumps(_finite(payload), indent=2, sort_keys=True,
-                      default=_jsonify, allow_nan=False)
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
 
 
 def _write_json(path: Path, payload, config_hash: str):
     path.write_text(_dumps({"config_hash": config_hash, **payload}) + "\n")
 
 
-def _finite(obj):
+def _jsonable(obj):
+    """``obj`` as plain JSON data: dicts, lists, tuples and arrays walked,
+    numpy scalars as Python ones, a non-finite float as None."""
     if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_finite(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
-
-
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"Object of type {type(obj).__name__} "
-                    "is not JSON serializable")
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> int:

@@ -216,11 +216,11 @@ def e_sweep(tables: OperatorTables, ic: InitialCondition,
             ProbSpec.constant(float(e0)), offgrid_loss=tables.offgrid_loss),
             state0, control)
         series = moment_series(traj, (0.0, -2.0 * alpha))
-        mneg = series.order(-2.0 * alpha)
+        m0, mneg = series.order(0.0), series.order(-2.0 * alpha)
         rows.append({
             "E": float(e0),
             "mass_drift": check_mass_conservation(traj, np.inf)["max_drift"],
-            "M0_ratio": float(series.order(0.0)[-1] / series.order(0.0)[0]),
+            "M0_ratio": float(m0[-1] / m0[0]) if m0[0] else 0.0,
             "Mneg_ratio": float(mneg[-1] / mneg[0]) if mneg[0] else 0.0,
         })
     return rows

@@ -32,9 +32,10 @@ Design notes
   shift of j set by d alone (clamped at both grid ends): the band
   ``band_w`` holds it by destination, applied by one gather, ``einsum``
   and ``bincount``.  D and the shifts depend on the grid, daughter and
-  ``n_trunc`` only.  Ties at a center sit on it and bracket pairs
-  clamped onto cell 0 take a padded column, so every pair is in the
-  blocks or the band (else the build raises).  The top-cell stream
+  ``n_trunc`` only.  Ties at a center sit on it, a size on an edge keeps
+  the cell below as its top cell, and bracket pairs clamped onto cell 0
+  take a padded column, so every pair is in the blocks or the band (else
+  the build raises).  The top-cell stream
   deposits every complete cell below the top: a suffix sum over the
   cells, applied to the O(N) per-lump table ``lump_*``.  Under
   ``power_each`` parent j of
@@ -73,15 +74,6 @@ __all__ = [
     "integrate",
     "weak_form_residual",
 ]
-
-
-def _pow_integral(a, b, ex):
-    """``int_a^b z^(ex-1) dz`` with the logarithmic case ``ex = 0``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if ex == 0.0:
-        return np.log(b / a)
-    return (b ** ex - a ** ex) / ex
 
 
 def _remap_points(centers, zbar, num):
@@ -133,6 +125,15 @@ class OperatorTables:
     lump_w: np.ndarray                 # (2N+1,) numbers per unit scale
 
 
+def _frag_lump(nu, centers, lo, hi):
+    """Fragment number and mass of the size interval [lo, hi] per unit
+    scale, ``(nu + 2) int z^nu dz`` and ``(nu + 2) int z^(nu+1) dz``,
+    remapped onto the centers as by ``_remap_points``."""
+    num = (nu + 2.0) * ((hi ** (nu + 1.0) - lo ** (nu + 1.0)) / (nu + 1.0))
+    mass = hi ** (nu + 2.0) - lo ** (nu + 2.0)
+    return _remap_points(centers, mass / num, num)
+
+
 def _frag_lumps(daughter: DaughterSpec, grid: Grid):
     """Fragment deposits per unit scale of the sub-grid lump (source 0) and
     each complete cell k (source k + 1), remapped onto centers, as
@@ -141,30 +142,20 @@ def _frag_lumps(daughter: DaughterSpec, grid: Grid):
     """
     nu = daughter.nu
     e = grid.edges
-    gnum = (nu + 2.0) * _pow_integral(e[:-1], e[1:], nu + 1.0)
-    gmass = e[1:] ** (nu + 2.0) - e[:-1] ** (nu + 2.0)
-    l1, l2, w1, w2 = _remap_points(grid.centers, gmass / gnum, gnum)
+    l1, l2, w1, w2 = _frag_lump(nu, grid.centers, e[:-1], e[1:])
     k = np.arange(1, grid.cell_count + 1)
     return (np.concatenate(([0], k, k)), np.concatenate(([0], l1, l2)),
             np.concatenate(([e[0] ** (nu + 2.0) / grid.centers[0]], w1, w2)))
 
 
 def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
-    """Top-cell index and remapped partial-cell deposit for total sizes s."""
-    nu = daughter.nu
+    """Top cell t and remapped partial-cell deposit [e_t, s] for pair
+    sizes s (at least 2 c_0).  A size within ``_TIE_ULPS`` ulps above an
+    edge keeps the cell below as its top cell, so rounding picks no top
+    cell; its partial cell then spans that whole cell, and is never empty."""
     e = grid.edges
-    t = np.maximum(np.searchsorted(e, s, side="right") - 1, 0)
-    lo = e[np.minimum(t, grid.cell_count - 1)]
-    inside = (t < grid.cell_count) & (s > lo)
-    lo_s = np.where(inside, lo, 1.0)
-    s_s = np.where(inside, s, 2.0)
-    pnum = np.where(inside, (nu + 2.0) * _pow_integral(lo_s, s_s, nu + 1.0), 0.0)
-    pmass = np.where(inside, s_s ** (nu + 2.0) - lo_s ** (nu + 2.0), 0.0)
-    zbar = np.where(pnum > 0, pmass / np.where(pnum > 0, pnum, 1.0), 1.0)
-    pl1, pl2, pw1, pw2 = _remap_points(grid.centers, zbar, pnum)
-    pw1 = np.where(pnum > 0, pw1, 0.0)
-    pw2 = np.where(pnum > 0, pw2, 0.0)
-    return t, pl1, pl2, pw1, pw2
+    t = np.searchsorted(e + _TIE_ULPS * np.spacing(e), s) - 1
+    return (t, *_frag_lump(daughter.nu, grid.centers, e[t], s))
 
 
 def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
@@ -214,7 +205,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     parent_w = None
     if daughter.per_parent:
         # parent j spreads its fragments like a pair of total size c_j
-        _, _, _, pw1, pw2 = _frag_partial(daughter, grid, c)
+        _, _, pw1, pw2 = _frag_lump(daughter.nu, c, grid.edges[:-1], c)
         pw2[0], pw1[0] = pw1[0] + pw2[0], 0.0     # parent 0: cell 0 alone
         parent_w = np.array([pw2, pw1, np.ones(N)]) * c ** (-(daughter.nu + 1.0))
         if fold:

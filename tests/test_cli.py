@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +295,36 @@ class TestMain:
                                                "max_ratio": 0.0}
         assert exp["failures"] == []
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_initial_mass_sweep_runs(self, tmp_path):
+        # M0(0) = 0: the sweep's M0 ratio is 0, like its M_{-2 alpha} ratio
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["initial"]["mass"] = 0.0
+        cfg["experiments"] = ["sweep"]
+        cfg["options"] = {"sweep_E": [0.0, 1.0]}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        rows = json.loads((out / "experiments.json").read_text())["e_sweep"]
+        assert [(r["M0_ratio"], r["Mneg_ratio"]) for r in rows] == [
+            (0.0, 0.0), (0.0, 0.0)]
+
+    def test_linear_run_on_a_grid_of_cell_ratio_4_to_the_fifth(self, tmp_path):
+        # 2 c_i falls on a cell edge up to rounding on this grid
+        cfg = {"grid": {"x_min": 1e-3, "x_max": 4e-3, "cells": 5},
+               "initial": {"family": "exponential", "rate": 0.995701,
+                           "mass": 1.0},
+               "control": {"rtol": 1e-06, "t_end": 0.1, "outputs": 6},
+               "kernel": {"family": "sum_product", "zeta": 0.0, "eta": 1.0},
+               "daughter": {"family": "power_total", "nu": 0.0},
+               "prob": {"form": "constant", "value": 0.496148},
+               "experiments": ["run"]}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        assert len(list(out.glob("trajectory_*.csv"))) == 6
+        assert (out / "moments.csv").is_file()
+        exp = json.loads((out / "experiments.json").read_text())
+        assert exp["mass_conservation"]["ok"] and exp["failures"] == []
+
     def test_outputs_and_output_times_exit_two(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["control"]["output_times"] = [0.0, 0.5, 1.0]
@@ -535,6 +567,77 @@ class TestCsvWriter:
             assert (out / name).read_bytes() == _oracle_csv(
                 tmp_path / "oracle.csv", lines[1].split(","), rows,
                 lines[0].removeprefix("# config_hash="))
+
+
+def _random_config(rng, folder):
+    """A small scenario drawn over every kernel, daughter, prob and initial
+    family, on a grid of at most 24 cells, of cell ratio 4^(1/q) or random;
+    table files are written to ``folder``.  Grids span at most 4^8 or 10^5:
+    on wider ones K = x + y can make a run take minutes."""
+    x_min = float(rng.choice([1e-3, 0.2555, 7.0]))
+    if rng.random() < 0.5:
+        # for odd q, twice a cell centre falls on an edge up to rounding
+        q = int(rng.choice([1, 3, 5]))
+        cells = int(rng.integers(2, min(8 * q, 24) + 1))
+        x_max = x_min * 4.0 ** (cells / q)
+    else:
+        cells = int(rng.integers(2, 25))
+        x_max = x_min * 10.0 ** rng.uniform(0.3, 5.0)
+    mid = float(np.sqrt(x_min * x_max))
+    axis = np.geomspace(x_min, x_max, 4).tolist()
+    kernel = [
+        {"family": "smoluchowski"},
+        {"family": "sum_product", "zeta": -0.25, "eta": 0.5},
+        {"family": "sum_product", "zeta": 0.0, "eta": 1.0},
+        {"family": "bg_ratio", "sigma": float(rng.uniform(0.0, 0.9)),
+         "eta": float(rng.uniform())},
+        {"family": "product"}, {"family": "additive"},
+        {"family": "constant", "c": float(rng.uniform(0.5, 2.0))},
+        {"family": "table", "path": str(folder / "kernel.csv")},
+    ][rng.integers(8)]
+    rows = [f"{x!r},{y!r},{x + y!r}" for x in axis for y in axis]
+    (folder / "kernel.csv").write_text("x,y,K\n" + "\n".join(rows))
+    nu = float(rng.uniform(-0.9, 2.0))
+    daughter = [{"family": "uniform"}, {"family": "power_total", "nu": nu},
+                {"family": "power_each", "nu": nu}][rng.integers(3)]
+    prob = [{"form": "constant", "value": float(rng.uniform())},
+            {"form": "small_volume_floor", "E_small": float(rng.uniform()),
+             "E_large": float(rng.uniform()), "cut": mid}][rng.integers(2)]
+    initial = [
+        {"family": "exponential", "rate": 1.0 / mid},
+        {"family": "power_cutoff", "p": float(rng.uniform(-1.0, 1.9)),
+         "x_c": mid},
+        {"family": "point_mass", "x0": mid, "w": 0.3 * mid},
+        {"family": "tabulated", "path": str(folder / "initial.csv")},
+    ][rng.integers(4)]
+    initial["mass"] = 0.0 if rng.random() < 0.25 else 1.0
+    rows = [f"{x!r},{math.exp(-x / mid)!r}" for x in axis]
+    (folder / "initial.csv").write_text("x,f\n" + "\n".join(rows))
+    return {"grid": {"x_min": x_min, "x_max": x_max, "cells": cells},
+            "kernel": kernel, "daughter": daughter, "prob": prob,
+            "initial": initial,
+            "control": {"t_end": float(rng.uniform(0.05, 0.5)),
+                        "outputs": int(rng.integers(3, 6))},
+            "experiments": [e for e in cli._EXPERIMENTS
+                            if rng.random() < 0.4] or ["run"],
+            "options": {"offgrid_loss": bool(rng.random() < 0.3),
+                        "sweep_E": [0.0, float(rng.uniform()), 1.0]}}
+
+
+class TestExitCodes:
+    def test_random_configs_exit_by_the_contract(self, tmp_path):
+        # every run ends in 0, 2, 3 or 4, with no exception and no warning
+        rng = np.random.default_rng(19)
+        for k in range(40):
+            folder = tmp_path / f"case{k}"
+            folder.mkdir()
+            cfg = _random_config(rng, folder)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(["run", _write(folder, cfg),
+                                 "--out", str(folder / "results")])
+            assert code in (0, 2, 3, 4), cfg
+            assert not caught, (cfg, [str(w.message) for w in caught])
 
 
 def _readme_block(language):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from breakcoag.daughter import eval_E
 from breakcoag.errors import ConfigError
 from breakcoag.kernels import eval_kernel
 from breakcoag.solver import (_DP_A, _DP_E, _DP_P, _frag_partial,
-                              _pow_integral, _remap_points, _rhs)
+                              _remap_points, _rhs)
 
 
 def dense_kernels(tables):
@@ -62,9 +63,14 @@ def dense_fragments(tables):
     N = g.cell_count
     nu = tables.daughter.nu
     e = g.edges
-    gnum = (nu + 2.0) * _pow_integral(e[:-1], e[1:], nu + 1.0)
-    gmass = e[1:] ** (nu + 2.0) - e[:-1] ** (nu + 2.0)
-    l1, l2, w1, w2 = _remap_points(g.centers, gmass / gnum, gnum)
+
+    def lump(lo, hi):
+        # (nu + 2) int_lo^hi z^nu dz fragments of mass (nu + 2) int z^(nu+1)
+        num = (nu + 2.0) * ((hi ** (nu + 1.0) - lo ** (nu + 1.0)) / (nu + 1.0))
+        mass = hi ** (nu + 2.0) - lo ** (nu + 2.0)
+        return _remap_points(g.centers, mass / num, num)
+
+    l1, l2, w1, w2 = lump(e[:-1], e[1:])
     cells = np.zeros((N + 1, N))          # row k + 1: deposits of cell k
     cells[0, 0] = e[0] ** (nu + 2.0) / g.centers[0]
     np.add.at(cells, (np.arange(1, N + 1), l1), w1)
@@ -72,9 +78,10 @@ def dense_fragments(tables):
     prefix = np.cumsum(cells, axis=0)
     if not tables.daughter.per_parent:
         return prefix, None
-    t, pl1, pl2, pw1, pw2 = _frag_partial(tables.daughter, g, g.centers)
+    # parent i: every complete cell below i, and the partial cell [e_i, c_i]
+    pl1, pl2, pw1, pw2 = lump(e[:-1], g.centers)
     w = g.centers ** (-(nu + 1.0))
-    parent = prefix[t] * w[:, None]
+    parent = prefix[:N] * w[:, None]
     np.add.at(parent, (np.arange(N), pl1), w * pw1)
     np.add.at(parent, (np.arange(N), pl2), w * pw2)
     return prefix, parent
@@ -176,6 +183,24 @@ class TestRemapPoints:
             zbar = c[m] + k * np.spacing(c[m])
             got = [float(x) for x in _remap_points(c, zbar, 3.0)]
             assert got == [float(x) for x in _bracket_split(c, zbar, 3.0)]
+
+
+class TestFragPartial:
+    @pytest.mark.parametrize("nu", [0.0, -0.5, 1.5])
+    @pytest.mark.parametrize("t", [1, 20, 47])
+    def test_size_just_above_an_edge_keeps_the_cell_below(self, t, nu):
+        g = bc.make_grid(1.0, 2.0 ** 12, 48)
+        e, c = g.edges, g.centers
+        k = np.arange(solver._TIE_ULPS + 2)
+        s = e[t] + k * np.spacing(e[t])
+        top, l1, l2, w1, w2 = _frag_partial(bc.DaughterSpec.power_total(nu),
+                                            g, s)
+        assert np.all(top[:-1] == t - 1) and top[-1] == t
+        # the partial cell [e_top, s] is never empty; its deposit holds
+        # its mass, (nu + 2) int z^(nu+1) dz per unit scale
+        mass = s ** (nu + 2.0) - e[top] ** (nu + 2.0)
+        assert np.all(mass > 0)
+        assert_allclose(w1 * c[l1] + w2 * c[l2], mass, rtol=1e-13, atol=0.0)
 
 
 class TestBuildTables:
@@ -374,6 +399,29 @@ class TestBuildTables:
                         clamps += (t.band_w.shape[2] > 0
                                    and t.band_dest[0, 0, 1] == 0)
         assert clamps > 0
+
+    @pytest.mark.parametrize("daughter", [
+        bc.DaughterSpec.power_total(0.0), bc.DaughterSpec.power_total(-0.5),
+        bc.DaughterSpec.power_total(1.5), bc.DaughterSpec.uniform()],
+        ids=["nu=0", "nu=-0.5", "nu=1.5", "uniform"])
+    def test_grids_of_cell_ratio_4_to_the_one_over_k(self, daughter):
+        # r^k = 4 for odd k: 2 c_i falls on a cell edge up to rounding, and
+        # the pair's top cell stays the cell below whichever side it lands
+        rng = np.random.default_rng(4)
+        for x0, k, n in itertools.product((1e-3, 0.2555, 7.0), (1, 3),
+                                          (2, 5, 13, 40)):
+            g = bc.make_grid(x0, x0 * 4.0 ** (n / k), n)
+            t = _tables(g, daughter=daughter)
+            density = rng.random(n)
+            rate = _rhs(t, density)
+            ref = _reference_rhs(t, density)
+            death = density * (t.K_death @ (density * g.widths))
+            terms = np.abs(ref + death) + death
+            assert np.all(np.abs(rate - ref) <= 1e-12 * terms)
+            # gains and losses nearly cancel in some cells, so the mass
+            # rate is measured against the sum of both
+            mass = g.centers * g.widths
+            assert abs(mass @ rate) <= 1e-14 * (mass @ terms)
 
     @pytest.mark.parametrize("N, kernel, daughter, prob", [
         (120, bc.KernelSpec.sum_product(-0.25, 0.5),
