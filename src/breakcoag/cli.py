@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 configuration error, 3 integration failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import inspect
 import json
 import math
@@ -30,6 +29,14 @@ from .grid import Grid, InitialCondition, make_grid, moment, \
 from .hypotheses import check_scenario
 from .kernels import KernelSpec, eval_kernel
 from .solver import StepControl, build_tables, integrate
+
+try:  # CPython's own SHA-256: hashlib would load all of OpenSSL's libcrypto
+    from _sha2 import sha256                     # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256               # Python 3.10, 3.11
+    except ImportError:                          # built without either
+        from hashlib import sha256
 
 _EXPERIMENTS = ("run", "verify", "contraction", "gel", "sweep", "dlvp")
 
@@ -273,7 +280,7 @@ def parse_config(path, overrides=()) -> ScenarioConfig:
     except (TypeError, ValueError) as exc:
         # a value of the wrong type or form, such as "abc" for a number
         raise ConfigError(f"malformed config value: {exc}") from exc
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
     return ScenarioConfig(**specs, config_hash=digest)

@@ -1,9 +1,13 @@
 import csv
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -102,6 +106,25 @@ class TestParseConfig:
         assert mod.control.t_end == 2.0
         assert mod.config_hash != base.config_hash
 
+    @pytest.mark.parametrize("case", ["plain", "override", "non-ascii"])
+    def test_config_hash_is_sha256_of_sorted_compact_json(self, tmp_path,
+                                                           case):
+        raw = json.loads(json.dumps(MINIMAL))
+        overrides = ()
+        if case == "override":
+            overrides = ("control.t_end=2.0", "grid.cells=90")
+        elif case == "non-ascii":
+            data = tmp_path / "données_φ.csv"
+            data.write_text("x,f\n0.01,1.0\n1.0,0.5\n10.0,0.1\n",
+                            encoding="utf-8")
+            raw["initial"] = {"family": "tabulated", "path": str(data)}
+        cfg = cli.parse_config(_write(tmp_path, raw), overrides=overrides)
+        if case == "override":
+            raw["control"]["t_end"], raw["grid"]["cells"] = 2.0, 90
+        text = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+        assert cfg.config_hash == hashlib.sha256(
+            text.encode()).hexdigest()[:16]
+
 
 class TestMain:
     def test_run_exit_zero_and_artifacts(self, tmp_path):
@@ -130,6 +153,23 @@ class TestMain:
         cfg = cli.parse_config(path)
         first = (out / "moments.csv").read_text().splitlines()[0]
         assert first == f"# config_hash={cfg.config_hash}"
+
+    @pytest.mark.skipif(cli.sha256.__module__ == "_hashlib",
+                        reason="interpreter built without its own SHA-256")
+    def test_run_loads_no_openssl(self, tmp_path):
+        # the config hash uses CPython's own SHA-256: hashlib's OpenSSL
+        # backend would add megabytes to every run's resident memory
+        script = ("import sys\nfrom breakcoag.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(code, '_hashlib' in sys.modules)")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run(
+            [sys.executable, "-c", script, "run", _write(tmp_path, MINIMAL),
+             "--out", str(tmp_path / "results")],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split()[-2:] == ["0", "False"]
 
     def test_config_error_exit_two(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))

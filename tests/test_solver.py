@@ -300,6 +300,17 @@ class TestBuildTables:
             tracemalloc.stop()
         assert peak <= 1.4 * _held_bytes(t)
 
+    def test_build_transient_of_the_linear_workload(self):
+        # what one pair block keeps alive beside the 3.07 MB of tables
+        # the build returns: about 290 B per pair
+        tracemalloc.start()
+        try:
+            t = _tables(bc.make_grid(1e-4, 1e3, 300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - _held_bytes(t) <= 2.5e6
+
     def test_gain_panels_hold_the_pair_triangle(self):
         # the fine-grid workload's operator: per-parent, two gain blocks
         N = 800
