@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .daughter import DaughterSpec, ProbSpec
+from .daughter import DaughterSpec, ProbSpec, eval_E
 from .diagnostics import (check_apriori_bounds, check_mass_conservation,
                           contraction_experiment, detect_gelation, e_sweep,
                           moment_series)
@@ -122,35 +122,39 @@ def _from_file(read, build):
     return from_file
 
 
-def _read_kernel_csv(path):
-    """CSV columns x,y,K over a rectangular grid of (x, y) pairs."""
+def _read_table_csv(path, what, value):
+    """CSV columns x,y and ``value`` (the column's name) over a
+    rectangular grid of (x, y) pairs, of the ``what`` table."""
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if rows.shape[1] != 3:
-        raise DataError("kernel table needs columns x,y,K")
+        raise DataError(f"{what} table needs columns x,y,{value}")
     if not np.all(np.isfinite(rows)):
-        raise DataError("kernel table values must be finite")
+        raise DataError(f"{what} table values must be finite")
     x = np.unique(rows[:, 0])
     y = np.unique(rows[:, 1])
     if rows.shape[0] != x.size * y.size:
-        raise DataError("kernel table must cover a full rectangular grid")
-    K = np.full((x.size, y.size), np.nan)
+        raise DataError(f"{what} table must cover a full rectangular grid")
+    table = np.full((x.size, y.size), np.nan)
     ix = np.searchsorted(x, rows[:, 0])
     iy = np.searchsorted(y, rows[:, 1])
-    K[ix, iy] = rows[:, 2]
-    if np.any(np.isnan(K)):
-        raise DataError("kernel table has duplicate or missing grid entries")
-    return x, y, K
+    table[ix, iy] = rows[:, 2]
+    if np.any(np.isnan(table)):
+        raise DataError(f"{what} table has duplicate or missing grid entries")
+    return x, y, table
 
 
-# each family's name is the name of its constructor; the two families
-# that read a file take a ``path`` in place of the arrays
+# each family's name is the name of its constructor; the families that
+# read a file take a ``path`` in place of the arrays
 _KERNELS = {name: getattr(KernelSpec, name) for name in (
     "smoluchowski", "sum_product", "bg_ratio", "product", "additive",
-    "constant")} | {"table": _from_file(_read_kernel_csv, KernelSpec.table)}
+    "constant")} | {"table": _from_file(
+        partial(_read_table_csv, what="kernel", value="K"), KernelSpec.table)}
 _DAUGHTERS = {name: getattr(DaughterSpec, name)
               for name in ("uniform", "power_total", "power_each")}
 _PROBS = {name: getattr(ProbSpec, name)
-          for name in ("constant", "small_volume_floor")}
+          for name in ("constant", "small_volume_floor")} | {
+    "table": _from_file(partial(_read_table_csv, what="probability",
+                                value="E"), ProbSpec.table)}
 _INITIALS = {name: getattr(InitialCondition, name)
              for name in ("exponential", "power_cutoff", "point_mass")} | {
     # unlike the library, the config rescales a tabulated profile to mass 1
@@ -353,10 +357,13 @@ def run_scenario(config: ScenarioConfig, out_dir) -> int:
         # the operator reads the kernel at every pair of cell centres,
         # which the two outermost centres bound
         ends = config.grid.centers[[0, -1]]
-        try:
-            eval_kernel(config.kernel, ends, ends)
-        except DomainError as exc:
-            raise ConfigError(f"kernel not defined on the grid: {exc}")
+        for what, evaluate, spec in (("kernel", eval_kernel, config.kernel),
+                                     ("coalescence probability", eval_E,
+                                      config.prob)):
+            try:
+                evaluate(spec, ends, ends)
+            except DomainError as exc:
+                raise ConfigError(f"{what} not defined on the grid: {exc}")
         n_trunc = config.grid.x_max if opts["n_trunc"] is None \
             else opts["n_trunc"]
         tables = build_tables(config.grid, config.kernel, n_trunc,

@@ -4,7 +4,8 @@ results (existence / mass-conserving existence / uniqueness) apply.
 Every inequality is verified on a log mesh of sample pairs (x, y): the
 kernel growth bounds on 142 x 142 points of (1e-4, 1e4)^2 (a table
 kernel only inside its tabulated box), the daughter and E conditions on
-60 x 60 points of (1e-3, 1e3)^2, with the closed-form moment integrals of
+60 x 60 points of (1e-3, 1e3)^2 (a table E only on the square inside its
+tabulated box), with the closed-form moment integrals of
 the daughter families (``p5`` per trial set, reporting the set closest
 to its bound).  A bound holds when its worst relative excess is at most
 1e-12; statuses are ``pass`` / ``fail`` / ``n/a`` with that excess as
@@ -225,6 +226,12 @@ def _bound_check(values, bounds, x, y) -> CheckResult:
     return CheckResult(status, max(res, 0.0), (float(x[i]), float(y[i])))
 
 
+def _inside(box, spec):
+    """The part of ``box`` inside a table spec's tabulated box."""
+    return tuple((max(lo, axis[0]), min(hi, axis[-1])) for (lo, hi), axis
+                 in zip(box, (spec.params["x"], spec.params["y"])))
+
+
 def classify_growth(spec: KernelSpec,
                     sample_box=((1e-4, 1e4), (1e-4, 1e4)),
                     samples: int = 20000) -> dict[str, CheckResult]:
@@ -243,9 +250,7 @@ def classify_growth(spec: KernelSpec,
     if samples < 10_000:
         raise ConfigError("growth classification needs at least 10^4 samples")
     if spec.family == "table":
-        sample_box = tuple(
-            (max(lo, axis[0]), min(hi, axis[-1])) for (lo, hi), axis
-            in zip(sample_box, (spec.params["x"], spec.params["y"])))
+        sample_box = _inside(sample_box, spec)
     x, y = _sample_pairs(sample_box, math.ceil(math.sqrt(samples)))
     K = eval_kernel(spec, x, y)
     a = spec.declared_alpha
@@ -402,6 +407,12 @@ def check_scenario(kernel: KernelSpec, daughter: DaughterSpec,
     # coalescence probability: range, symmetry, and threshold on (0,1)^2
     beta_ref = beta_2a if alpha > 0.0 else beta0
     E_min = coalescence_threshold(beta_ref, alpha) if beta_ref is not None else math.nan
+    if prob.form == "table":
+        # a tabulated E only inside its tabulated box, on a square that
+        # holds both orders of each pair
+        (x_lo, x_hi), (y_lo, y_hi) = _inside(_CHECK_BOX, prob)
+        side = (max(x_lo, y_lo), min(x_hi, y_hi))
+        x, y = _sample_pairs((side, side), _CHECK_N)
     Ev = eval_E(prob, x, y)
     range_ok = bool(np.all((Ev >= 0.0) & (Ev <= 1.0)))
     sym_ok = bool(np.max(np.abs(Ev - eval_E(prob, y, x))) == 0.0)

@@ -188,7 +188,8 @@ def table_lookup(tx, ty, values, x, y):
     iy = np.clip(np.searchsorted(ly, np.log(y)) - 1, 0, ly.size - 2)
     wx = (np.log(x) - lx[ix]) / (lx[ix + 1] - lx[ix])
     wy = (np.log(y) - ly[iy]) / (ly[iy + 1] - ly[iy])
-    return ((1 - wx) * (1 - wy) * values[ix, iy]
-            + wx * (1 - wy) * values[ix + 1, iy]
-            + (1 - wx) * wy * values[ix, iy + 1]
-            + wx * wy * values[ix + 1, iy + 1])
+    # one weight pair per axis, each summing to 1 as rounded: a table of
+    # ones gives exactly 1, and every term stays non-negative
+    lo = (1 - wy) * values[ix, iy] + wy * values[ix, iy + 1]
+    hi = (1 - wy) * values[ix + 1, iy] + wy * values[ix + 1, iy + 1]
+    return (1 - wx) * lo + wx * hi

@@ -18,39 +18,44 @@ Design notes
   With ``offgrid_loss=True`` pairs whose product exceeds the grid still
   collide (capped kernel, no pair-sum cutoff) but produce nothing on the
   grid — the configuration used to observe gelation as genuine mass loss.
-* Operator layout.  A pair (i <= j) deposits through streams: coalescence
-  brackets, partial fragment cell brackets, fragment top cell.  Away from
-  the diagonal they sit at fixed offsets from the larger partner's cell j
-  (j and j + 1, j - 1 and j, top j), so four gain blocks (gain at j, j + 1
-  and j - 1, top cell j) hold their weights and shifted adds apply the
-  products ``number @ block``.  A gain block holds only the pairs
-  j - i >= D, a triangle, kept as row panels in the flat ``gain_w``: panel
-  p holds rows r_p = p ``_PANEL_ROWS`` up to the next panel's, columns
-  r_p + D on, and takes one GEMV with those rows of the numbers.
-  ``stack`` holds the full blocks, ``K_death^T`` last, applied by one
-  GEMV.  On the first D diagonals d = j - i a bracket pair lands at a
-  shift of j set by d alone (clamped at both grid ends): the band
-  ``band_w`` holds it by destination, applied by one gather, ``einsum``
-  and ``bincount``.  D and the shifts depend on the grid, daughter and
-  ``n_trunc`` only.  Ties at a center sit on it, a size on an edge keeps
-  the cell below as its top cell, and bracket pairs clamped onto cell 0
-  take a padded column, so every pair is in the blocks or the band (else
-  the build raises).  The top-cell stream
-  deposits every complete cell below the top: a suffix sum over the
-  cells, applied to the O(N) per-lump table ``lump_*``.  Under
-  ``power_each`` parent j of
+* Operator layout.  The symmetric kernel is held once: the death kernel
+  as its upper triangle, diagonal halved, in row panels of the flat
+  ``gain_w``.  Panel p holds rows r_p = p ``_PANEL_ROWS`` up to the next
+  panel's; row i holds the triangle from column r_p on, then each gain
+  block from column r_p + D on.  With the halved diagonal an entry is the
+  collision rate of the pair (i <= j), and the death rate takes two GEMVs
+  per panel, one from each side.  Off the band, j - i >= D, a pair's
+  coalescence lands on its larger partner's cell j and on j + 1 with the
+  bracket weights 1 - c_i / (c_{j+1} - c_j) and c_i / (c_{j+1} - c_j)
+  (in the top cell on N - 1 alone, s / c_{N-1}), so one matrix
+  Ê = E rate gives it from ``(n, c n) @ Ê``.  Under a constant E without
+  ``offgrid_loss`` Ê is E times the death triangle; otherwise it is the
+  first gain block.  The pair laws add three fragment blocks: the partial
+  cell's brackets at j - 1 and j, and the top cell j.  In its first
+  B - 1 columns from r_p + D a panel's lower rows reach onto the band's
+  diagonals; each call masks them with ``np.triu``.  On the first D
+  diagonals d = j - i a bracket pair lands at a shift of j set by d alone
+  (clamped at both grid ends): the band ``band_w`` holds it by
+  destination, applied by a gather and ``einsum`` per chunk of
+  ``_BAND_DIAGONALS`` diagonals, then one ``bincount``.  D and the shifts
+  depend on the grid, daughter and ``n_trunc`` only.  Ties at a center
+  sit on it, a size on an edge keeps the cell below as its top cell, and
+  bracket pairs clamped onto cell 0 take a padded column, so every pair
+  is in the panels or the band (else the build raises).  The top-cell
+  stream deposits every complete cell below the top: a suffix sum over
+  the cells, applied to the O(N) per-lump table ``lump_*``.  Under ``power_each`` parent j of
   each pair breaks at one rate ``n_j sum_i n_i K_ji (1 - E_ji)``, like a
   pair of total size c_j (top cell j, partial cell [e_j, c_j] bracketed
-  at j - 1 and j), spread by the (3, N) ``parent_w`` from a breakage
-  block ``(K (1 - E))^T`` of the gain kernel, first in ``stack``, or
-  from the death block if the kernel is capped and E constant (1 - E
-  then rides in ``parent_w``); its two coalescence blocks are the gain
-  panels.  K and E enter only through these weights, and the
+  at j - 1 and j), spread by the (3, N) ``parent_w``: from the breakage
+  block ``stack`` = ``(K (1 - E))^T`` of the gain kernel, or from the
+  death rate if the kernel is capped and E constant (1 - E then rides in
+  ``parent_w``).  K and E enter only through these weights, and the
   weak-form residual reads its rates through the same ``_rates``.
 * ``build_tables`` works in row blocks of the kernel and in blocks of
   ``_PAIR_BLOCK`` pairs along the diagonals, filling the tables in place:
-  its peak memory is 1.10-1.14 times the table bytes at N = 800, and the
-  block size changes no bit of the tables.
+  its peak memory is 1.13-1.15 times the table bytes at N = 800 (1.32
+  for the smallest, ``power_each`` at constant E), and the block size
+  changes no bit of the tables.
 """
 
 from __future__ import annotations
@@ -76,26 +81,31 @@ __all__ = [
 ]
 
 
-def _remap_points(centers, zbar, num):
-    """Split lumps (number ``num`` at position ``zbar``) onto bracketing
-    cell centers, conserving number and mass.  Outside the center range,
-    or within ``_TIE_ULPS`` ulps of a center, the deposit is single-cell
-    and mass-preserving (number adjusted), so rounding picks no bracket.
+def _remap_points(centers, zbar, num, extra=0.0):
+    """Split lumps (number ``num`` at position ``zbar + extra``) onto
+    bracketing cell centers, conserving number and mass.  Outside the
+    center range, or within ``_TIE_ULPS`` ulps of a center, the deposit is
+    single-cell and mass-preserving (number adjusted), so rounding picks no
+    bracket.  A pair of sizes passes its larger size as ``zbar`` and its
+    smaller as ``extra``: its height above the lower bracket is then
+    ``(zbar - c_l) + extra``, exact when the lower bracket is the larger
+    size's center.
 
     Returns index arrays (l1, l2) and number weights (w1, w2).
     """
     zbar = np.asarray(zbar, dtype=float)
     num = np.asarray(num, dtype=float)
+    pos = zbar + extra
     n = centers.size
     tol = _TIE_ULPS * np.spacing(centers)
-    j = np.searchsorted(centers - tol, zbar, side="right")
+    j = np.searchsorted(centers - tol, pos, side="right")
     jl = np.maximum(j - 1, 0)              # 0 <= j <= n
     jr = np.minimum(j, n - 1)
-    above = zbar - centers[jl]
+    above = (zbar - centers[jl]) + extra
     interior = (j > 0) & (j < n) & (above > tol[jl])
     gap = np.where(interior, centers[jr] - centers[jl], 1.0)
     w2 = np.where(interior, num * above / gap, 0.0)
-    w1 = np.where(interior, num - w2, num * zbar / centers[jl])
+    w1 = np.where(interior, num - w2, num * pos / centers[jl])
     return jl, jr, w1, w2
 
 
@@ -111,12 +121,13 @@ class OperatorTables:
     prob: ProbSpec
     n_trunc: float
     offgrid_loss: bool
-    stack: np.ndarray                  # (N, N) K_death^T, per-parent (N, 2N)
-                                       # after (K (1 - E))^T unless 1 - E folds
-    K_death: np.ndarray                # last block (view); gains cut it at n_trunc
-    gain_w: np.ndarray                 # panels of 4 gain blocks, per-parent 2
+    stack: np.ndarray | None           # per-parent (N, N) (K (1 - E))^T, None
+                                       # where 1 - E folds into parent_w
+    gain_w: np.ndarray                 # row panels: death triangle, then Ê
+                                       # unless shared, 3 fragment blocks
+                                       # unless per-parent
     panel_off: np.ndarray              # (2, P + 1) first row, flat start
-    parent_w: np.ndarray | None        # per-parent (3, N): cells j, j - 1, top j
+    parent_w: np.ndarray | None        # per-parent (3, N): cells j - 1, j, top j
     band_w: np.ndarray                 # (G, 2, D, N + span) bracket pairs
     band_shift: np.ndarray             # (G, D) lower bracket + pad - j
     band_dest: np.ndarray              # (G, 2, N + span) clamped at both ends
@@ -161,7 +172,7 @@ def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
 def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
                  daughter: DaughterSpec, prob: ProbSpec,
                  offgrid_loss: bool = False) -> OperatorTables:
-    """Precompute the weight blocks and band of the truncated system, whose
+    """Precompute the row panels and band of the truncated system, whose
     gain kernel is ``min(K, n_trunc)`` (uncapped with ``offgrid_loss``)
     where ``x + y < n_trunc`` and 0 elsewhere."""
     if not 0 < n_trunc <= grid.x_max:
@@ -176,93 +187,109 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
             "simulation requires a finite fragment count (daughter exponent > -1)")
     c = grid.centers
     N = c.size
-    fold = daughter.per_parent and prob.form == "constant" and not offgrid_loss
-    own_break = daughter.per_parent and not fold
-    stack = np.zeros((N, (2 if own_break else 1) * N))
-    K_death = stack[:, -N:].T
-    broken = stack[:, :N].T if own_break else None
-    # offgrid_loss drops the rate cap and keeps the raw kernel in the loss
-    # term: pairs whose product leaves the grid still collide but produce
-    # nothing representable, so mass genuinely leaks to large sizes — the
-    # configuration used to observe gelation.  The default caps and cuts
-    # both terms identically, which conserves mass exactly.
-    step = max(1, _PAIR_BLOCK // N)
-    for r in range(0, N, step):
-        x, K = c[r:r + step, None], K_death[r:r + step]
-        K[...] = eval_kernel(kernel, x, c)
-        live = x + c < n_trunc
-        if not offgrid_loss:
-            np.minimum(K, n_trunc, out=K)
-            K[~live] = 0.0
-        # the gains read K(c_i, c_j) for i <= j only, the loss whole rows
-        if not np.allclose(K[:, :r + step], K_death[:r + step, r:r + step].T,
-                           rtol=1e-12, atol=0):
-            raise ConfigError("kernel must be symmetric, K(x, y) = K(y, x)")
-        if broken is not None:
-            np.subtract(1.0, eval_E(prob, x, c), out=broken[r:r + step])
-            broken[r:r + step] *= np.where(live, K, 0.0)
+    shared = _shares_death(prob, offgrid_loss)
 
     parent_w = None
     if daughter.per_parent:
         # parent j spreads its fragments like a pair of total size c_j
         _, _, pw1, pw2 = _frag_lump(daughter.nu, c, grid.edges[:-1], c)
         pw2[0], pw1[0] = pw1[0] + pw2[0], 0.0     # parent 0: cell 0 alone
-        parent_w = np.array([pw2, pw1, np.ones(N)]) * c ** (-(daughter.nu + 1.0))
-        if fold:
+        parent_w = np.array([pw1, pw2, np.ones(N)]) * c ** (-(daughter.nu + 1.0))
+        if shared:
             parent_w *= 1.0 - prob.params["value"]
 
-    def streams(iu, ju):
-        """(destination, weight, live, block) per stream of pairs iu <= ju;
-        ``live``: the weights that geometry and n_trunc leave non-zero."""
+    def streams(iu, ju, rate):
+        """(destination, weight, live) per stream of pairs iu <= ju at the
+        pair rate ``rate``, and their coalescence rate; ``live``: the
+        weights that geometry and n_trunc leave non-zero."""
         s = c[iu] + c[ju]
         live = s < n_trunc
-        l1, l2, w1, w2 = _remap_points(c, s, np.ones_like(s))
-        # a diagonal pair is one collision type; an off-diagonal pair
-        # stands for both orders, each at half the rate of the gain kernel
-        rate = np.where(iu == ju, 0.5, 1.0) * np.where(live, K_death[iu, ju], 0.0)
+        l1, l2, w1, w2 = _remap_points(c, c[ju], 1.0, c[iu])
+        rate[~live] = 0.0
         E = eval_E(prob, c[iu], c[ju])
         coag = rate * E
-        out = [(l1, coag * w1, live & (w1 != 0), 0),
-               (l2, coag * w2, live & (w2 != 0), 1)]
+        out = [(l1, coag * w1, live & (w1 != 0)),
+               (l2, coag * w2, live & (w2 != 0))]
         if not daughter.per_parent:
             top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, s)
             frag = rate * (1.0 - E) * s ** (-(daughter.nu + 1.0))
-            out += [(pl1, frag * pw1, live & (pw1 != 0), 2),
-                    (pl2, frag * pw2, live & (pw2 != 0), 0),
-                    (N + top, frag, live, 3)]
-        return out
+            out += [(pl1, frag * pw1, live & (pw1 != 0)),
+                    (pl2, frag * pw2, live & (pw2 != 0)),
+                    (N + top, frag, live)]
+        return out, coag
 
     # streams: coalescence and partial-cell brackets (lower, upper), top
-    # cell; stream k deposits at base + j + offset[block] in the GEMV
-    # blocks, at base + clip(j + shift + k % 2, 0, N - 1) in the band
-    base, offset = np.array([0, 0, 0, N]), np.array([0, 1, -1, 0])
+    # cell; off the band stream k deposits at base + j + offset, in the
+    # band at base + clip(j + shift + k % 2, 0, N - 1)
+    S = 2 if daughter.per_parent else 5
+    base = np.array([0, 0, 0, 0, N])[:S]
+    offset = np.array([0, 1, -1, 0, 0])[:S]
     # the shift of bracket pair k // 2 on diagonal d is read off the lower
     # bracket of the pair (0, d); the band holds the diagonals below the
-    # last one where that pair breaks the GEMV rule
-    dest, _, live, blocks = map(np.array, zip(*streams(
-        np.zeros(N, dtype=int), np.arange(N))))
-    shift = dest - base[blocks, None] - np.arange(N)
-    off = np.any(live & (shift != offset[blocks, None]), axis=0)
+    # last one where that pair breaks the rule
+    dest, _, live = map(np.array, zip(*streams(
+        np.zeros(N, dtype=int), np.arange(N), np.ones(N))[0]))
+    shift = dest - base[:, None] - np.arange(N)
+    off = np.any(live & (shift != offset[:, None]), axis=0)
     D = np.max(off.nonzero()[0] + 1, initial=0)
     # a bracket pair clamped onto cell 0 at both ends sits one cell below
     # its diagonal's shift, in a column the band pads at the bottom
     low = dest[::2, :D] == 0
-    low[:len(dest) // 2] &= dest[1::2, :D] == 0
+    low[:S // 2] &= dest[1::2, :D] == 0
     pad = int(low.any())
     band_shift = shift[::2, :D] - low + pad
     L = N + max(0, band_shift.max(initial=0))
     band_w = np.zeros((len(band_shift), 2, D, L))
-    k = np.arange(len(blocks))
+    k = np.arange(S)
     shift[:, :D] = band_shift[k // 2] - pad + k[:, None] % 2
-    shift[:, D:] = offset[blocks, None]
-    # panel p holds rows [r_p, r_{p+1}) of the gain blocks from column
-    # r_p + D on, W_p = N - D - r_p wide: row i holds its blocks one
-    # after another, block b of the pair (i, j) at b W_p + j - r_p - D
-    n_gain = 2 if daughter.per_parent else 4
-    rows = np.append(np.arange(0, N - D, _PANEL_ROWS), N - D)
+    shift[:, D:] = offset[:, None]
+
+    # panel p holds rows [r_p, r_{p+1}); row i holds the death triangle
+    # from column r_p, then each gain block from column r_p + D: Ê unless
+    # it is E times the triangle, then the fragment blocks
+    hat = 0 if shared else 1
+    n_gain = hat + (0 if daughter.per_parent else 3)
+    rows = np.append(np.arange(0, N, _PANEL_ROWS), N)
+    r = rows[:-1]
+    wide = np.maximum(N - D - r, 0)
     panel_off = np.array([rows, np.concatenate(([0], np.cumsum(
-        np.diff(rows) * n_gain * (N - D - rows[:-1]))))])
+        np.diff(rows) * (N - r + n_gain * wide))))])
     gain_w = np.zeros(panel_off[1, -1])
+    i = np.arange(N)
+    p = i // _PANEL_ROWS
+    # the triangle's entry (i, j) is gain_w[tri[i] + j - i]
+    tri = panel_off[1, p] + (i - r[p]) * (N - r[p] + n_gain * wide[p] + 1)
+
+    # offgrid_loss drops the rate cap and keeps the raw kernel in the loss
+    # term: pairs whose product leaves the grid still collide but produce
+    # nothing representable, so mass genuinely leaks to large sizes — the
+    # configuration used to observe gelation.  The default caps and cuts
+    # both terms identically, which conserves mass exactly.
+    stack = np.zeros((N, N)) if daughter.per_parent and not shared else None
+    step = max(1, _PAIR_BLOCK // N)
+    for r0 in range(0, N, step):
+        r1 = min(r0 + step, N)
+        x = c[r0:r1, None]
+        K = eval_kernel(kernel, x, c)
+        live = x + c < n_trunc
+        if not offgrid_loss:
+            np.minimum(K, n_trunc, out=K)
+            K[~live] = 0.0
+        # the rows above hold columns r0:r1 of the triangle
+        above = gain_w[tri[:r0, None] + np.arange(r0, r1) - i[:r0, None]]
+        if not np.allclose(K[:, :r1], np.concatenate((above, K[:, r0:r1])).T,
+                           rtol=1e-12, atol=0):
+            raise ConfigError("kernel must be symmetric, K(x, y) = K(y, x)")
+        if stack is not None:
+            broken = stack.T[r0:r1]
+            np.subtract(1.0, eval_E(prob, x, c), out=broken)
+            broken *= np.where(live, K, 0.0)
+        # a diagonal pair is one collision type; an off-diagonal pair
+        # stands for both orders, each at half the rate of the gain kernel
+        K[i[:r1 - r0], i[r0:r1]] *= 0.5
+        for row in range(r0, r1):
+            gain_w[tri[row]:tri[row] + N - row] = K[row - r0, row:]
+
     # blocks of _PAIR_BLOCK pairs along the diagonals from first[d] on
     first = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))
     for p0 in range(0, first[-1], _PAIR_BLOCK):
@@ -271,67 +298,113 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         ju = np.arange(p0, p1) - first[d] + d
         iu = ju - d
         q = min(max(first[D] - p0, 0), p1 - p0)     # pairs [:q] in the band
-        panel = iu[q:] // _PANEL_ROWS
-        r = rows[panel]
-        width = N - D - r
-        cell = (panel_off[1, panel] + (iu[q:] - r) * n_gain * width
-                + ju[q:] - r - D)
-        for (dest_k, w, live_k, b), sh, g in zip(streams(iu, ju), shift, k):
+        out, coag = streams(iu, ju, gain_w[tri[iu] + d])
+        width = wide[p[iu[q:]]]
+        # gain block 0 of the pair (i, j), from column r_p + D of row i
+        cell = tri[iu[q:]] - iu[q:] + N + ju[q:] - r[p[iu[q:]]] - D
+        if hat:
+            gain_w[cell] = coag[q:]
+        for (dest_k, w, live_k), sh, g in zip(out, shift, k):
             col = ju + sh[d]
-            # every live stream must land where the band or a block puts it
+            # every live stream must land where the band or the rule puts it
             lands = np.concatenate((np.clip(col[:q], 0, N - 1), col[q:]))
-            if np.any(live_k & (dest_k != base[b] + lands)):
+            if np.any(live_k & (dest_k != base[g] + lands)):
                 raise RuntimeError("a pair lands off the band and the blocks")
             band_w[g // 2, g % 2, d[:q], col[:q] + pad - g % 2] = w[:q]
-            gain_w[cell + b * width] += w[q:]
+            if g >= 2:
+                gain_w[cell + (hat + g - 2) * width] = w[q:]
+        del out, coag                 # before the next block's streams
     band_dest = (np.clip(np.arange(L) - pad + np.c_[0:2], 0, N - 1)
-                 + base[blocks[::2], None, None])
+                 + base[::2, None, None])
     lump_src, lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, stack=stack,
-        K_death=K_death, gain_w=gain_w, panel_off=panel_off, parent_w=parent_w,
+        gain_w=gain_w, panel_off=panel_off, parent_w=parent_w,
         band_w=band_w, band_shift=band_shift, band_dest=band_dest,
         lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
 
 
+def _shares_death(prob: ProbSpec, offgrid_loss: bool) -> bool:
+    """Whether the coalescence rates are E times the death triangle, so
+    that no table of their own is stored."""
+    return prob.form == "constant" and not offgrid_loss
+
+
 def _rates(tables: OperatorTables, density: np.ndarray):
-    """Rate of change of the density and the death rate ``K_death @ n``."""
+    """Rate of change of the density and the death rate
+    ``sum_j K_ij n_j`` of each cell i."""
     g = tables.grid
-    N = g.cell_count
+    c = g.centers
+    N = c.size
     number = density * g.widths
-    v = (number @ tables.stack).reshape(-1, N)
     _, _, D, L = tables.band_w.shape
-    u = np.zeros((4 if tables.parent_w is None else 2, N))
+    shared = _shares_death(tables.prob, tables.offgrid_loss)
+    pairs = np.array([number, c * number])
+    # the death rate; sum_i n_i Ê_ij and sum_i c_i n_i Ê_ij; the fragment
+    # gains at j - 1, j and top cell j
+    sums = np.zeros((6, N))
+    death, coag, frag = sums[0], sums[1:3], sums[3:]
     first, off = tables.panel_off.tolist()
     for r0, r1, o0, o1 in zip(first, first[1:], off, off[1:]):
-        # adding into a view skips the copy back of ``u[:, a:] += ...``
-        cols = u[:, r0 + D:]
-        cols += (number[r0:r1] @ tables.gain_w[o0:o1].reshape(
-            r1 - r0, -1)).reshape(len(u), -1)
-    u *= number
+        panel = tables.gain_w[o0:o1].reshape(r1 - r0, -1)
+        # row 0 gives the death rate and the fragment gains, both rows
+        # the sums of Ê off the panel's corner
+        Y = pairs[:, r0:r1] @ panel
+        death[r0:] += Y[0, :N - r0]
+        death[r0:r1] += panel[:, :N - r0] @ number[r0:]
+        W = N - D - r0
+        if W <= 0:
+            continue
+        # Ê from column r0 + D: the death triangle's columns, or its own
+        h0 = D if shared else N - r0
+        # in its first B - 1 columns the panel's rows below the first
+        # reach back onto the band's diagonals: the m by m corner holds
+        # every pair of them off the band
+        m = min(r1 - r0 - 1, W)
+        cols = coag[:, r0 + D:]
+        cols[:, :m] += pairs[:, r0:r0 + m] @ np.triu(panel[:m, h0:h0 + m])
+        cols[:, m:] += Y[:, h0 + m:h0 + W]
+        if tables.parent_w is None:
+            # adding into a view skips the copy back of ``a[:, i:] += ...``
+            gains = frag[:, r0 + D:]
+            gains += Y[0, N - r0 + (0 if shared else W):].reshape(3, W)
+    if shared:
+        coag *= tables.prob.params["value"]
+    sums[1:] *= number
+    # the bracket rule off the band: c_i / (c_{j+1} - c_j) of the pair's
+    # number moves up to j + 1; in the top cell s / c_{N-1} stays there
+    up = coag[1, :-1] / (c[1:] - c[:-1])
+    coag[0, -1] += coag[1, -1] / c[-1]
     if tables.parent_w is not None:
-        # n_j v[0]_j breaks parent j: v[0] is K (1 - E) n, or K n with the
-        # constant 1 - E in parent_w
-        w = tables.parent_w * (number * v[0])
-        u = np.array([u[0] + w[0], u[1], w[1], w[2]])
+        # n_j times K (1 - E) n breaks parent j, or the death rate K n
+        # with the constant 1 - E in parent_w
+        broken = death if tables.stack is None else number @ tables.stack
+        frag = tables.parent_w * (number * broken)
     # column m of diagonal d in bracket pair g is the pair (m - shift - d,
-    # m - shift): one gather reads both rows off the zero-padded numbers
+    # m - shift): one gather per chunk of diagonals reads both rows off
+    # the zero-padded numbers
     padded = np.concatenate((np.zeros(L + D), number, np.zeros(L + D)))
-    rows = L + D - tables.band_shift - _PARTNER * np.arange(D)
     window = as_strided(padded, (padded.size - L + 1, L), padded.strides * 2)
-    cols = np.einsum("gbdm,gdm,gdm->gbm", tables.band_w, *window[rows])
+    cols = np.zeros(tables.band_dest.shape)
+    for d0 in range(0, D, _BAND_DIAGONALS):
+        d1 = min(d0 + _BAND_DIAGONALS, D)
+        rows = (L + D - tables.band_shift[:, d0:d1]
+                - _PARTNER * np.arange(d0, d1))
+        cols += np.einsum("gbdm,gdm,gdm->gbm", tables.band_w[:, :, d0:d1],
+                          *window[rows])
     out = np.bincount(tables.band_dest.ravel(), cols.ravel(), 2 * N + 1)
-    gain = out[:N] + u[0]
-    gain[1:] += u[1, :-1]
-    gain[:-1] += u[2, 1:]
+    gain = out[:N] + coag[0] + frag[1]
+    gain[:-1] -= up
+    gain[1:] += up
+    gain[:-1] += frag[0, 1:]
     top = out[N:]
-    top[:-1] += u[3]
+    top[:-1] += frag[2]
     # top cell t receives the lump and every complete cell below t
     above = np.cumsum(top[::-1])[::-1]
     gain += np.bincount(tables.lump_dest,
                         tables.lump_w * above[tables.lump_src], N)
-    return gain / g.widths - density * v[-1], v[-1]
+    return gain / g.widths - density * death, death
 
 
 def _rhs(tables: OperatorTables, density: np.ndarray) -> np.ndarray:
@@ -412,8 +485,10 @@ _DP_P = np.array([
 # a looser limit on a step's clipped share lets it drift above rounding
 _CLIP_LIMIT = 1e-15
 _DT_MIN = 1e-12                      # step-size underflow guard, per horizon
+_MAX_RHS_CALLS = 40_000              # work bound of one integration
 _PAIR_BLOCK = 2 ** 13                # upper-triangle pairs per build block
-_PANEL_ROWS = 128                    # gain block rows per panel
+_PANEL_ROWS = 128                    # pair triangle rows per panel
+_BAND_DIAGONALS = 32                 # band diagonals per gather
 _TIE_ULPS = 1024                     # a lump this close to a center sits on it
 _PARTNER = np.array([1, 0])[:, None, None]   # smaller partner j - d, larger j
 
@@ -433,7 +508,10 @@ def integrate(tables: OperatorTables, state: State,
     negative densities hold at most ``_CLIP_LIMIT`` of the mass.  The steps
     do not stop at output times: an output inside a step is read from the
     step's continuous extension, then clipped, its clipped mass counted.
-    A step size below ``_DT_MIN`` of the horizon raises IntegrationError."""
+    A step size below ``_DT_MIN`` of the horizon, or more than
+    ``_MAX_RHS_CALLS`` right-hand sides before t_end, raises
+    IntegrationError; the second names the cell with the largest h times
+    death rate, the one that binds an explicit step."""
     g = tables.grid
     f = state.density.astype(float).copy()
     t = float(state.time)
@@ -448,7 +526,8 @@ def integrate(tables: OperatorTables, state: State,
     mass0 = float((f * g.centers * g.widths).sum())
     atol = control.atol if control.atol is not None else 1e-12 * max(mass0, 1.0)
 
-    records = [f.copy()]
+    densities = np.empty((out_times.size, f.size))
+    densities[0] = f
     next_out = 1
     clipped_total = 0.0
     n_steps = n_rejected = 0
@@ -456,22 +535,29 @@ def integrate(tables: OperatorTables, state: State,
 
     K = np.empty((7, f.size))          # stage slopes; K[0] is the slope at f
     K[0] = _rhs(tables, f)
+    calls = 1
     scale = float(np.max(np.abs(K[0]))) if f.any() else 0.0
     dt = 0.01 / scale if scale > 0 else (t_end - t) / 100 or 1.0
 
     while t < t_end:
         last = dt >= t_end - t
         h = t_end - t if last else dt
-        for i in range(1, 6):
-            K[i] = _rhs(tables, f + h * (_DP_A[i] @ K[:i]))
-        f_new, clipped = _clip(f + h * (_DP_A[6] @ K[:6]), g)
-        mass_now = float((f_new * g.centers * g.widths).sum())
-        clip_ok = clipped <= _CLIP_LIMIT * max(mass_now, atol)
-        err = np.inf
-        if clip_ok:
-            K[6] = _rhs(tables, f_new)
-            err = float(np.max(np.abs(h * (_DP_E @ K))
-                               / (atol + control.rtol * np.abs(f))))
+        # the stages of a step too long for the stiffest cells can
+        # overflow; the step's clip test or error is then not finite and
+        # rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, 6):
+                K[i] = _rhs(tables, f + h * (_DP_A[i] @ K[:i]))
+            calls += 5
+            f_new, clipped = _clip(f + h * (_DP_A[6] @ K[:6]), g)
+            mass_now = float((f_new * g.centers * g.widths).sum())
+            clip_ok = clipped <= _CLIP_LIMIT * max(mass_now, atol)
+            err = np.inf
+            if clip_ok:
+                K[6] = _rhs(tables, f_new)
+                calls += 1
+                err = float(np.max(np.abs(h * (_DP_E @ K))
+                                   / (atol + control.rtol * np.abs(f))))
 
         if err <= 1.0:
             t_new = t_end if last else t + h
@@ -479,11 +565,11 @@ def integrate(tables: OperatorTables, state: State,
                 theta = (out_times[next_out] - t) / h
                 y, lost = _clip(f + h * (theta ** np.arange(1, 5)
                                          @ (_DP_P.T @ K)), g)
-                records.append(y)
+                densities[next_out] = y
                 clipped_total += lost
                 next_out += 1
             if next_out < out_times.size and out_times[next_out] == t_new:
-                records.append(f_new)
+                densities[next_out] = f_new
                 next_out += 1
             f, t = f_new, t_new
             K[0] = K[6]
@@ -500,9 +586,18 @@ def integrate(tables: OperatorTables, state: State,
             raise IntegrationError(
                 "step size underflow",
                 diagnostics={"t": t, "dt": dt, "clipped_mass": clipped_total})
+        if calls >= _MAX_RHS_CALLS and t < t_end:
+            rate = h * _rates(tables, f)[1]
+            cell = int(np.argmax(rate))
+            raise IntegrationError(
+                f"work out of reach: {calls} right-hand sides to t = {t!r} "
+                f"of {t_end!r}, steps bound by cell {cell}",
+                diagnostics={"t": t, "h": h, "rhs_calls": calls,
+                             "binding_cell": cell,
+                             "h_death_rate": float(rate[cell]),
+                             "clipped_mass": clipped_total})
 
-    return Trajectory(grid=g, times=out_times,
-                      densities=np.asarray(records),
+    return Trajectory(grid=g, times=out_times, densities=densities,
                       clipped_mass=clipped_total,
                       n_steps=n_steps, n_rejected=n_rejected)
 
@@ -529,9 +624,11 @@ def weak_form_residual(trajectory: Trajectory, tables: OperatorTables,
 
     ``phi_kind`` is ("power", m), ("capped", a), or ("indicator", a).
     The rate at each output is ``sum phi dn/dt`` of the operator's own
-    ``_rates``, so phi = x gives the mass identity zeta_x = 0; its loss
-    uses the gain kernel, so with ``offgrid_loss`` the collisions that
-    leave the grid show up as residual.  Intervals use the trapezoid rule.
+    ``_rates``, so phi = x gives the mass identity zeta_x = 0.  The
+    identity's loss uses the gain kernel: with ``offgrid_loss`` the
+    collisions that leave the grid are added back, from ``eval_kernel`` in
+    row blocks, so that they show up as residual; without it the build
+    cuts them.  Intervals use the trapezoid rule.
     Returns absolute and relative interval residuals; an interval where
     both sides vanish at rounding level counts as zero relative residual.
     """
@@ -540,18 +637,20 @@ def weak_form_residual(trajectory: Trajectory, tables: OperatorTables,
     c, dx = trajectory.grid.centers, trajectory.grid.widths
     phi_c = _phi_values(phi_kind, c)
     mphi = trajectory.densities @ (phi_c * dx)
-    # the collisions off the grid, the death kernel where c_i + c_j >=
-    # n_trunc, in row blocks: zero unless offgrid_loss, as the build cuts it
-    numbers = trajectory.densities * dx
-    lost = np.empty_like(numbers)
-    step = max(1, _PAIR_BLOCK // c.size)
-    for r in range(0, c.size, step):
-        cut = c[r:r + step, None] + c < tables.n_trunc
-        lost[:, r:r + step] = numbers @ np.where(
-            cut, 0.0, tables.K_death[r:r + step]).T
     rates = np.array([(phi_c * dx) @ _rates(tables, density)[0]
                       for density in trajectory.densities])
-    rates += (numbers * lost) @ phi_c
+    if tables.offgrid_loss:
+        # the collisions off the grid, the raw kernel where c_i + c_j >=
+        # n_trunc, in row blocks (without offgrid_loss the build cuts them)
+        numbers = trajectory.densities * dx
+        lost = np.empty_like(numbers)
+        step = max(1, _PAIR_BLOCK // c.size)
+        for r in range(0, c.size, step):
+            x = c[r:r + step, None]
+            lost[:, r:r + step] = numbers @ np.where(
+                x + c < tables.n_trunc, 0.0,
+                eval_kernel(tables.kernel, x, c)).T
+        rates += (numbers * lost) @ phi_c
 
     dts = np.diff(trajectory.times)
     lhs = np.diff(mphi)

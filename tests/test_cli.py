@@ -466,6 +466,39 @@ class TestMain:
                          str(tmp_path / "results")]) == 2
         assert "kernel table values must be finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("daughter", ["power_total", "power_each"])
+    def test_table_prob_run_asserts_mass(self, tmp_path, daughter):
+        # a tabulated E: the operator stores its own coalescence rates
+        # and, per parent, its own breakage block
+        axis = np.geomspace(1e-3, 1e2, 5).tolist()
+        rows = [f"{u!r},{v!r},{0.2 + 0.6 * math.exp(-u - v)!r}"
+                for u in axis for v in axis]
+        (tmp_path / "prob.csv").write_text("x,y,E\n" + "\n".join(rows))
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"] = {"x_min": 1e-3, "x_max": 1e2, "cells": 30}
+        cfg["kernel"] = {"family": "additive"}
+        cfg["daughter"] = {"family": daughter, "nu": 0.0}
+        cfg["prob"] = {"form": "table", "path": str(tmp_path / "prob.csv")}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        exp = json.loads((out / "experiments.json").read_text())
+        assert exp["mass_conservation"]["asserted"]
+        assert exp["mass_conservation"]["ok"]
+
+    def test_asymmetric_prob_table_exit_two(self, tmp_path, capsys):
+        # E(x_a, y_b) = 0.1 (a + 1) on one shared axis
+        axis = np.geomspace(1e-3, 1e2, 5).tolist()
+        rows = [f"{u!r},{v!r},{0.1 * (a + 1)!r}"
+                for a, u in enumerate(axis) for v in axis]
+        (tmp_path / "prob.csv").write_text("x,y,E\n" + "\n".join(rows))
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["prob"] = {"form": "table", "path": str(tmp_path / "prob.csv")}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "symmetric" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_method_names_one_integrator(self, tmp_path):
         # "heun" is the legacy name of the one integrator, "dopri5"
         outs = []
@@ -609,13 +642,16 @@ class TestCsvWriter:
                 lines[0].removeprefix("# config_hash="))
 
 
-def _random_config(rng, folder):
+def _random_config(rng, folder, span=None):
     """A small scenario drawn over every kernel, daughter, prob and initial
-    family, on a grid of at most 24 cells, of cell ratio 4^(1/q) or random;
-    table files are written to ``folder``.  Grids span at most 4^8 or 10^5:
-    on wider ones K = x + y can make a run take minutes."""
+    family, on a grid of at most 24 cells, of cell ratio 4^(1/q) or random,
+    or on the grid span (x_min, x_max) if given; table files are written
+    to ``folder``."""
     x_min = float(rng.choice([1e-3, 0.2555, 7.0]))
-    if rng.random() < 0.5:
+    if span is not None:
+        x_min, x_max = span
+        cells = int(rng.integers(2, 25))
+    elif rng.random() < 0.5:
         # for odd q, twice a cell centre falls on an edge up to rounding
         q = int(rng.choice([1, 3, 5]))
         cells = int(rng.integers(2, min(8 * q, 24) + 1))
@@ -642,7 +678,12 @@ def _random_config(rng, folder):
                 {"family": "power_each", "nu": nu}][rng.integers(3)]
     prob = [{"form": "constant", "value": float(rng.uniform())},
             {"form": "small_volume_floor", "E_small": float(rng.uniform()),
-             "E_large": float(rng.uniform()), "cut": mid}][rng.integers(2)]
+             "E_large": float(rng.uniform()), "cut": mid},
+            {"form": "table", "path": str(folder / "prob.csv")},
+            ][rng.integers(3 if span is not None else 2)]
+    rows = [f"{x!r},{y!r},{0.5 + 0.4 * math.tanh(math.log(x * y))!r}"
+            for x in axis for y in axis]
+    (folder / "prob.csv").write_text("x,y,E\n" + "\n".join(rows))
     initial = [
         {"family": "exponential", "rate": 1.0 / mid},
         {"family": "power_cutoff", "p": float(rng.uniform(-1.0, 1.9)),
@@ -664,20 +705,55 @@ def _random_config(rng, folder):
                         "sweep_E": [0.0, float(rng.uniform()), 1.0]}}
 
 
+def _exit_code(folder, cfg):
+    """The exit code of ``breakcoag run`` on ``cfg``, which must end in
+    0, 2, 3 or 4 with no exception and no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", _write(folder, cfg),
+                         "--out", str(folder / "results")])
+    assert code in (0, 2, 3, 4), cfg
+    assert not caught, (cfg, [str(w.message) for w in caught])
+    return code
+
+
 class TestExitCodes:
     def test_random_configs_exit_by_the_contract(self, tmp_path):
-        # every run ends in 0, 2, 3 or 4, with no exception and no warning
+        # grids of at most 4^8 or 10^5 keep the runs short: a run that
+        # spends the integrator's whole work bound takes about 3 s
         rng = np.random.default_rng(19)
         for k in range(40):
             folder = tmp_path / f"case{k}"
             folder.mkdir()
-            cfg = _random_config(rng, folder)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = cli.main(["run", _write(folder, cfg),
-                                 "--out", str(folder / "results")])
-            assert code in (0, 2, 3, 4), cfg
-            assert not caught, (cfg, [str(w.message) for w in caught])
+            _exit_code(folder, _random_config(rng, folder))
+
+    def test_configs_on_a_span_of_ten_to_the_fourteen(self, tmp_path):
+        # the span (1e-3, 2.8e11): explicit steps on K = x + y are bound
+        # by the top cells' death rate, and such a run ends in exit 3
+        rng = np.random.default_rng(23)
+        codes = []
+        for k in range(6):
+            folder = tmp_path / f"case{k}"
+            folder.mkdir()
+            cfg = _random_config(rng, folder, span=(1e-3, 2.8e11))
+            cfg["experiments"] = ["run", "verify"]
+            codes.append(_exit_code(folder, cfg))
+        assert 0 in codes
+
+    def test_out_of_reach_work_exits_three(self, tmp_path, capsys):
+        # K = x + y on (1e-3, 2.8e11): the top cell's death rate bounds
+        # the explicit step near 1e-10 over a horizon of 0.24
+        cfg = {"grid": {"x_min": 1e-3, "x_max": 2.8e11, "cells": 24},
+               "kernel": {"family": "additive"},
+               "daughter": {"family": "power_each", "nu": -0.243},
+               "prob": {"form": "constant", "value": 0.222},
+               "initial": {"family": "exponential"},
+               "control": {"t_end": 0.24, "outputs": 6},
+               "experiments": ["run"]}
+        assert _exit_code(tmp_path, cfg) == 3
+        err = capsys.readouterr().err
+        assert "work out of reach" in err and "'binding_cell': 23" in err
+        assert not (tmp_path / "results").exists()
 
 
 def _readme_block(language):
@@ -758,6 +834,8 @@ _FAMILIES = [
      lambda: ProbSpec.constant(0.5)),
     ("prob", {"form": "small_volume_floor", "E_small": 0.6, "E_large": 0.2},
      lambda: ProbSpec.small_volume_floor(0.6, 0.2)),
+    ("prob", {"form": "table", "path": "prob.csv"},
+     lambda: ProbSpec.table(_AXIS, _AXIS, _PROB_TABLE)),
     ("initial", {"family": "exponential"},
      lambda: InitialCondition.exponential()),
     ("initial", {"family": "power_cutoff", "p": 0.5, "x_c": 2.0},
@@ -770,6 +848,7 @@ _FAMILIES = [
 ]
 _AXIS = [0.1, 1.0, 10.0]
 _KERNEL_TABLE = np.add.outer(_AXIS, _AXIS).tolist()
+_PROB_TABLE = (0.1 * np.add.outer(_AXIS, _AXIS) ** 0.5).tolist()
 
 
 class TestSchema:
@@ -782,6 +861,9 @@ class TestSchema:
         rows = [f"{_AXIS[i]!r},{_AXIS[j]!r},{_KERNEL_TABLE[i][j]!r}"
                 for i, j in np.ndindex(3, 3)]
         (tmp_path / "kernel.csv").write_text("x,y,K\n" + "\n".join(rows))
+        rows = [f"{_AXIS[i]!r},{_AXIS[j]!r},{_PROB_TABLE[i][j]!r}"
+                for i, j in np.ndindex(3, 3)]
+        (tmp_path / "prob.csv").write_text("x,y,E\n" + "\n".join(rows))
         (tmp_path / "initial.csv").write_text("x,f\n0.1,1.0\n1.0,0.5\n10.0,0.1\n")
         cfg = json.loads(json.dumps(MINIMAL))
         cfg[section] = spec

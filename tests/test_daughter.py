@@ -155,10 +155,9 @@ class TestProbSpec:
             iy = np.clip(np.searchsorted(la, np.log(y)) - 1, 0, 4)
             wx = (np.log(x) - la[ix]) / (la[ix + 1] - la[ix])
             wy = (np.log(y) - la[iy]) / (la[iy + 1] - la[iy])
-            return ((1 - wx) * (1 - wy) * table[ix, iy]
-                    + wx * (1 - wy) * table[ix + 1, iy]
-                    + (1 - wx) * wy * table[ix, iy + 1]
-                    + wx * wy * table[ix + 1, iy + 1])
+            lo = (1 - wy) * table[ix, iy] + wy * table[ix, iy + 1]
+            hi = (1 - wy) * table[ix + 1, iy] + wy * table[ix + 1, iy + 1]
+            return (1 - wx) * lo + wx * hi
 
         kernel = bc.KernelSpec.table(axis, axis, K)
         prob = bc.ProbSpec.table(axis, axis, E)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import breakcoag as bc
 from breakcoag.errors import ConfigError, DomainError
+from test_solver import dense_panels
 
 positive = st.floats(1e-4, 1e4)
 
@@ -97,12 +98,12 @@ class TestTableKernel:
 
 def _truncated(kernel, level):
     """Centers (as a column and a row) and ``build_tables``' truncated
-    kernel, its death kernel ``K_death``, on a small grid that spans the
-    level."""
+    kernel, its death kernel read back from the row panels, on a small
+    grid that spans the level."""
     g = bc.make_grid(0.1, 20.0, 40)
     t = bc.build_tables(g, kernel, level, bc.DaughterSpec.power_total(0.0),
                         bc.ProbSpec.constant(0.5))
-    return g.centers[:, None], g.centers[None, :], t.K_death
+    return g.centers[:, None], g.centers[None, :], dense_panels(t)[0]
 
 
 class TestTruncateKernel:

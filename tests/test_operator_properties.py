@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import breakcoag as bc
 from breakcoag.solver import _phi_values, _rhs
 from test_solver import (_reference_rhs, dense_deposits, dense_fragments,
-                         dense_gain_blocks, dense_kernels)
+                         dense_kernels, dense_panels)
 
 X_MIN = 1e-3
 
@@ -64,12 +64,29 @@ probabilities = nonnegative(1.0) | st.just(1.0)
 
 
 @st.composite
-def probs(draw, coalescence_only=False):
+def probs(draw, x_max, coalescence_only=False):
     value = st.just(1.0) if coalescence_only else probabilities
-    if draw(st.booleans()):
+    form = draw(st.sampled_from(["constant", "small_volume_floor", "table"]))
+    if form == "constant":
         return bc.ProbSpec.constant(draw(value))
-    return bc.ProbSpec.small_volume_floor(draw(value), draw(value),
-                                          10.0 ** draw(st.floats(-3.0, 2.0)))
+    if form == "small_volume_floor":
+        return bc.ProbSpec.small_volume_floor(
+            draw(value), draw(value), 10.0 ** draw(st.floats(-3.0, 2.0)))
+    if draw(st.booleans()):
+        # a symmetric table on a shared axis
+        axis = np.geomspace(X_MIN, x_max, 5)
+        upper = draw(st.lists(value, min_size=15, max_size=15))
+        E = np.zeros((5, 5))
+        E[np.triu_indices(5)] = upper
+        return bc.ProbSpec.table(axis, axis, E + np.triu(E, 1).T)
+    # distinct axes: E = a + b log(x y), exact under the bilinear lookup
+    # in log x and log y, so symmetric to rounding
+    x = np.geomspace(X_MIN, x_max, 5)
+    y = np.geomspace(X_MIN / 2.0, 2.0 * x_max, 4)
+    logs = np.add.outer(np.log(x), np.log(y))
+    t = np.clip((logs - logs.min()) / np.ptp(logs), 0.0, 1.0)
+    a, b = draw(st.lists(value, min_size=2, max_size=2))
+    return bc.ProbSpec.table(x, y, (1 - t) * a + t * b)
 
 
 @st.composite
@@ -88,7 +105,7 @@ def scenarios(draw, coalescence_only=False, offgrid_loss=None):
     if offgrid_loss is None:
         offgrid_loss = draw(st.booleans())
     tables = bc.build_tables(_grid(n, x_max), kernel, n_trunc, daughter,
-                             draw(probs(coalescence_only)),
+                             draw(probs(x_max, coalescence_only)),
                              offgrid_loss=offgrid_loss)
     density = draw(st.lists(nonnegative(1e2),
                             min_size=n, max_size=n))
@@ -98,7 +115,8 @@ def scenarios(draw, coalescence_only=False, offgrid_loss=None):
 def _terms(tables, density):
     """Dense reference rate and the size of its gain and loss terms."""
     ref = _reference_rhs(tables, density)
-    death = density * (tables.K_death @ (density * tables.grid.widths))
+    death = density * (dense_panels(tables)[0]
+                       @ (density * tables.grid.widths))
     return ref, np.abs(ref + death) + death
 
 
@@ -118,8 +136,9 @@ def _deposits(tables):
     np.add.at(out, (i, j, d["coag_l1"][i, j]), coag * d["coag_w1"][i, j])
     np.add.at(out, (i, j, d["coag_l2"][i, j]), coag * d["coag_w2"][i, j])
     if parent is not None:
-        # both parents break
-        out[i, j] += frag[:, None] * (parent[i] + parent[j])
+        # both parents break, each by its own E: parent i by E(c_i, c_j)
+        out[i, j] += rate[:, None] * ((1.0 - E[i, j])[:, None] * parent[i]
+                                      + (1.0 - E[j, i])[:, None] * parent[j])
     else:
         frag = frag * d["frag_w"][i, j]
         np.add.at(out, (i, j, d["frag_pl1"][i, j]),
@@ -140,25 +159,30 @@ def test_rhs_matches_dense_reference(case):
 @given(scenarios())
 def test_blocks_and_band_carry_each_pair_once(case):
     tables, _ = case
-    N = tables.grid.cell_count
+    g = tables.grid
+    c = g.centers
+    N = g.cell_count
     D = tables.band_w.shape[2]
-    blocks = dense_gain_blocks(tables)
-    # the panels hold no pair of the band's diagonals j - i < D
+    death, hat, blocks = dense_panels(tables)
+    # the panels hold no gain of the band's diagonals j - i < D
     i, j = np.indices((N, N))
-    assert not blocks[:, j - i < D].any()
-    full = tables.stack.reshape(N, -1, N).transpose(1, 0, 2)
-    # (weights, offset): column j of the weights deposits at j + offset
+    assert not hat[j - i < D].any() and not blocks[:, j - i < D].any()
+    # (weights, offset): column j of the weights deposits at j + offset.
+    # Ê by the bracket rule: c_i / (c_{j+1} - c_j) of a pair's number
+    # moves up to j + 1, and the top cell keeps s / c_{N-1} of it
+    up = hat * c[:, None] / np.append(np.diff(c), -c[-1])
+    placed = [(hat - up, 0), (np.where(j < N - 1, up, 0.0), 1)]
     if tables.parent_w is None:
-        assert len(full) == 1
-        placed = zip(blocks, (0, 1, -1, N))
+        assert tables.stack is None
+        placed += zip(blocks, (-1, 0, N))
     else:
-        # parent j breaks at rate n_j (n @ full[0])_j and spreads it by
-        # its weights: partial cell at j and j - 1, top cell j
+        # parent j breaks at rate n_j (n @ brk)_j and spreads it by its
+        # weights: partial cell at j - 1 and j, top cell j
         fold = tables.prob.form == "constant" and not tables.offgrid_loss
-        assert len(full) == (1 if fold else 2)
-        placed = [(blocks[0], 0), (blocks[1], 1)] + [
-            (full[0] * w, offset)
-            for w, offset in zip(tables.parent_w, (0, -1, N))]
+        assert (tables.stack is None) == fold
+        brk = death if fold else tables.stack
+        placed += [(brk * w, offset)
+                   for w, offset in zip(tables.parent_w, (-1, 0, N))]
     got = np.zeros((N, N, 2 * N + 1))      # N + t is the top cell t
     for weights, offset in placed:
         lo, hi = (N, 2 * N) if offset == N else (0, N - 1)
@@ -181,8 +205,9 @@ def test_blocks_and_band_carry_each_pair_once(case):
     prefix, _ = dense_fragments(tables)
     cells = got[..., :N] + got[..., N:] @ prefix
     assert_allclose(cells, _deposits(tables), rtol=1e-14, atol=0.0)
-    # the death block is the kernel capped and cut, or raw with offgrid_loss
-    assert_array_equal(full[-1].T, dense_kernels(tables)[1])
+    # the death triangle is the kernel capped and cut, or raw with
+    # offgrid_loss
+    assert_array_equal(np.triu(death), np.triu(dense_kernels(tables)[1]))
 
 
 @given(scenarios(offgrid_loss=False))
@@ -205,12 +230,12 @@ def test_no_fragment_gain_when_E_is_one(case):
                   <= 1e-12 * scale)
     N = tables.grid.cell_count
     if tables.parent_w is None:
-        # the partial cell's lower bracket and the top cell
-        assert not dense_gain_blocks(tables)[2:].any()
-    elif tables.stack.shape[1] == N:
+        # the partial cell's brackets and the top cell
+        assert not dense_panels(tables)[2].any()
+    elif tables.stack is None:
         assert not tables.parent_w.any()       # the weights carry 1 - E
     else:
-        assert not tables.stack[:, :N].any()   # the breakage block
+        assert not tables.stack.any()          # the breakage block
     assert not tables.band_w[1:].any()       # the fragment bracket pairs
 
 
@@ -271,7 +296,8 @@ def test_integrate_keeps_positivity_and_mass(case):
     g = tables.grid
     mass = g.centers * g.widths
     # half the scenario's collision time (collision rates reach 1e11)
-    rate = np.max(tables.K_death @ (density * g.widths), initial=0.0)
+    rate = np.max(dense_panels(tables)[0] @ (density * g.widths),
+                  initial=0.0)
     t_end = 0.5 / max(rate, 1.0)
     traj = bc.integrate(tables, bc.State(g, density), bc.StepControl(
         t_end=t_end, output_times=tuple(np.linspace(0.0, t_end, 6))))

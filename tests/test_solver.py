@@ -39,7 +39,10 @@ def dense_deposits(tables):
     and weights ``frag_*``."""
     c = tables.grid.centers
     s = np.add.outer(c, c)
-    l1, l2, w1, w2 = _remap_points(c, s, np.ones_like(s))
+    # the larger size with the smaller as the extra: the pair's height
+    # above its lower bracket is exact when that is the larger's center
+    l1, l2, w1, w2 = _remap_points(c, np.maximum.outer(c, c), np.ones_like(s),
+                                   np.minimum.outer(c, c))
     active = dense_kernels(tables)[0] > 0
     deposits = {"coag_l1": l1, "coag_l2": l2,
                 "coag_w1": np.where(active, w1, 0.0),
@@ -87,25 +90,39 @@ def dense_fragments(tables):
     return prefix, parent
 
 
-def dense_gain_blocks(tables):
-    """The gain blocks read off the row panels as dense (n_gain, N, N)
-    arrays: entry [b, i, j] is the weight of the pair (i, j) in block b,
-    zero on the first D diagonals and wherever no panel reaches."""
+def dense_panels(tables):
+    """The row panels read back as dense (N, N) arrays: the death kernel,
+    the stored upper triangle mirrored with its halved diagonal doubled
+    back; Ê, the coalescence rate of each pair j - i >= D (E times the
+    death triangle where no table of its own is stored); and the fragment
+    gain blocks (n, N, N), entry [b, i, j] the weight of the pair (i, j)
+    in block b, zero on the band's diagonals and wherever no panel
+    reaches."""
     N = tables.grid.cell_count
     D = tables.band_w.shape[2]
     rows, off = tables.panel_off
-    assert rows[0] == 0 and rows[-1] == N - D and off[-1] == tables.gain_w.size
-    blocks = np.zeros((4 if tables.parent_w is None else 2, N, N))
+    assert rows[0] == 0 and rows[-1] == N and off[-1] == tables.gain_w.size
+    shared = solver._shares_death(tables.prob, tables.offgrid_loss)
+    tri = np.zeros((N, N))
+    blocks = np.zeros((int(not shared) + 3 * (tables.parent_w is None),
+                       N, N))
     for r0, r1, o0, o1 in zip(rows, rows[1:], off, off[1:]):
-        panel = tables.gain_w[o0:o1].reshape(r1 - r0, len(blocks), -1)
-        blocks[:, r0:r1, r0 + D:] = panel.transpose(1, 0, 2)
-    return blocks
+        panel = tables.gain_w[o0:o1].reshape(r1 - r0, -1)
+        tri[r0:r1, r0:] = panel[:, :N - r0]
+        blocks[:, r0:r1, r0 + D:] = panel[:, N - r0:].reshape(
+            r1 - r0, len(blocks), max(N - D - r0, 0)).transpose(1, 0, 2)
+    i, j = np.indices((N, N))
+    assert not tri[i > j].any()
+    if not shared:
+        return tri + tri.T, blocks[0], blocks[1:]
+    hat = np.where(j - i >= D, tables.prob.params["value"] * tri, 0.0)
+    return tri + tri.T, hat, blocks
 
 
 def _reference_rhs(tables, density):
     """Slow evaluation straight from the dense kernels, per-pair and
-    fragment tables; the production path uses the gain panels, the full
-    blocks, the band and the suffix sum and must agree."""
+    fragment tables; the production path uses the row panels, the
+    breakage block, the band and the suffix sum and must agree."""
     g = tables.grid
     N = g.cell_count
     d = dense_deposits(tables)
@@ -113,8 +130,11 @@ def _reference_rhs(tables, density):
     number = density * g.widths
     K_gain, K_death, E = dense_kernels(tables)
     R = K_gain * np.outer(number, number)
-    Rc = 0.5 * E * R
-    Rb = 0.5 * (1.0 - E) * R
+    # a pair i <= j coalesces, and under a pair law breaks, with
+    # E(c_i, c_j); each parent breaks with E(its size, its partner's)
+    pair_E = np.triu(E) + np.triu(E, 1).T
+    Rc = 0.5 * pair_E * R
+    Rb = 0.5 * (1.0 - (pair_E if parent is None else E)) * R
     gain = np.zeros(N)
     np.add.at(gain, d["coag_l1"].ravel(), (Rc * d["coag_w1"]).ravel())
     np.add.at(gain, d["coag_l2"].ravel(), (Rc * d["coag_w2"]).ravel())
@@ -209,8 +229,9 @@ class TestBuildTables:
         g = small_grid
         s = np.add.outer(g.centers, g.centers)
         inside = s < g.x_max
-        assert np.all(t.K_death[inside] == 2.0)
-        assert np.all(t.K_death[~inside] == 0.0)
+        K_death = dense_panels(t)[0]
+        assert np.all(K_death[inside] == 2.0)
+        assert np.all(K_death[~inside] == 0.0)
 
     def test_tables_built_with_pure_coagulation(self, small_grid):
         t = _tables(small_grid, prob=bc.ProbSpec.constant(1.0))
@@ -234,24 +255,24 @@ class TestBuildTables:
         axis = np.geomspace(1e-3, 1e3, 5)
         table = bc.ProbSpec.table(axis, axis, 0.2 + 0.1 * np.add.outer(
             np.arange(5), np.arange(5)))
-        # constant, floor and table E, and offgrid_loss; the gain blocks
-        # sit in the flat panels, and per-parent breakage reads the death
-        # product when 1 - E folds into its weights, a breakage block
-        # otherwise
+        # constant, floor and table E, and offgrid_loss; the death
+        # triangle and the gain blocks sit in the flat panels, and
+        # per-parent breakage reads the death rate when 1 - E folds into
+        # its weights, a breakage block of its own otherwise
         for kw in ({}, {"prob": bc.ProbSpec.small_volume_floor(0.6, 0.2)},
                    {"prob": table}, {"offgrid_loss": True}):
             fold = "prob" not in kw and "offgrid_loss" not in kw
-            for daughter, blocks in ((bc.DaughterSpec.power_total(0.0), 1),
-                                     (bc.DaughterSpec.power_each(0.0),
-                                      1 if fold else 2)):
+            for daughter, own in ((bc.DaughterSpec.power_total(0.0), False),
+                                  (bc.DaughterSpec.power_each(0.0),
+                                   not fold)):
                 t = _tables(g, kernel=bc.KernelSpec.constant(1.0),
                             daughter=daughter, **kw)
-                assert t.stack.shape == (N, blocks * N)
                 assert t.gain_w.ndim == 1
                 dense = {name for name, v in vars(t).items()
                          if isinstance(v, np.ndarray)
                          and sum(n >= N for n in v.shape) >= 2}
-                assert dense == {"stack", "K_death"}, kw
+                assert dense == ({"stack"} if own else set()), kw
+                assert own == (t.stack is not None)
 
     @pytest.mark.parametrize("kw", [
         {},
@@ -312,18 +333,33 @@ class TestBuildTables:
         assert peak - _held_bytes(t) <= 2.5e6
 
     def test_gain_panels_hold_the_pair_triangle(self):
-        # the fine-grid workload's operator: per-parent, two gain blocks
+        # the linear workload's operator: the death triangle and three
+        # fragment blocks of the pairs j - i >= D, and no coalescence
+        # block, as Ê is E times the death triangle
+        N = 300
+        t = _tables(bc.make_grid(1e-4, 1e3, N))
+        D, B = t.band_w.shape[2], solver._PANEL_ROWS
+        rows = np.append(np.arange(0, N, B), N)
+        # each panel's rows from its first row's diagonal on, zero corner
+        # included
+        cells = np.diff(rows) * (N - rows[:-1]
+                                 + 3 * np.maximum(N - D - rows[:-1], 0))
+        assert t.gain_w.size == cells.sum()
+        assert np.array_equal(t.panel_off, [rows, np.append(0, np.cumsum(
+            cells))])
+
+    def test_fine_grid_operator_holds_the_kernel_once(self):
+        # the fine-grid workload's operator: per-parent, constant E, so the
+        # death triangle is its only pair table beside the band
         N = 800
         t = _tables(bc.make_grid(1e-4, 1e3, N),
                     daughter=bc.DaughterSpec.power_each(0.0))
-        D, B = t.band_w.shape[2], solver._PANEL_ROWS
-        panels = -(-(N - D) // B)
-        # pairs j - i >= D per block, plus the zero corner of each panel
-        gains = 2 * ((N - D) * (N - D + 1) // 2 + panels * B * B // 2)
-        assert t.gain_w.size <= gains
-        # beside the death block, the panels and the band only O(N) tables
-        assert _held_bytes(t) <= (8 * (N * N + gains) + t.band_w.nbytes
-                                  + 8 * 16 * N)
+        B = solver._PANEL_ROWS
+        panels = -(-N // B)
+        # the pairs i <= j, plus the zero corner of each panel
+        tri = N * (N + 1) // 2 + panels * B * (B - 1) // 2
+        assert t.gain_w.size <= tri
+        assert _held_bytes(t) <= 8 * (tri + 16 * N) + t.band_w.nbytes
 
     @pytest.mark.parametrize("grid, daughter, rate", [
         ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39), 1.0),
@@ -341,7 +377,7 @@ class TestBuildTables:
         density = bc.sample_initial(bc.InitialCondition.exponential(rate),
                                     g).density
         ref = _reference_rhs(t, density)
-        death = density * (t.K_death @ (density * g.widths))
+        death = density * (dense_panels(t)[0] @ (density * g.widths))
         assert np.all(np.abs(_rhs(t, density) - ref)
                       <= 1e-12 * (np.abs(ref + death) + death))
         if grid[2] == 3:
@@ -364,19 +400,23 @@ class TestBuildTables:
     def test_panel_rows_do_not_matter(self, monkeypatch, grid, daughter,
                                       rate, rows):
         # rows=None: one panel of N rows.  band-only: every pair lies on
-        # the band's D = N diagonals, so there are no panels
+        # the band's D = N diagonals, so the panels hold the death
+        # triangle alone.  The band is gathered as many diagonals at once
         g = bc.make_grid(*grid)
         N = g.cell_count
         monkeypatch.setattr(solver, "_PANEL_ROWS", rows or N)
+        monkeypatch.setattr(solver, "_BAND_DIAGONALS", rows or N)
         t = _tables(g, daughter=daughter)
         D = t.band_w.shape[2]
-        assert t.panel_off.shape[1] - 1 == -(-(N - D) // (rows or N))
+        first = t.panel_off[0]
+        assert first.size - 1 == -(-N // (rows or N))
         if grid[1] == 8e-3:
-            assert D == N and t.gain_w.size == 0
+            assert D == N
+            assert t.gain_w.size == np.diff(first) @ (N - first[:-1])
         density = bc.sample_initial(bc.InitialCondition.exponential(rate),
                                     g).density
         ref = _reference_rhs(t, density)
-        death = density * (t.K_death @ (density * g.widths))
+        death = density * (dense_panels(t)[0] @ (density * g.widths))
         assert np.all(np.abs(_rhs(t, density) - ref)
                       <= 1e-12 * (np.abs(ref + death) + death))
 
@@ -426,7 +466,7 @@ class TestBuildTables:
             density = rng.random(n)
             rate = _rhs(t, density)
             ref = _reference_rhs(t, density)
-            death = density * (t.K_death @ (density * g.widths))
+            death = density * (dense_panels(t)[0] @ (density * g.widths))
             terms = np.abs(ref + death) + death
             assert np.all(np.abs(rate - ref) <= 1e-12 * terms)
             # gains and losses nearly cancel in some cells, so the mass
@@ -661,7 +701,8 @@ class TestStepAndIntegrate:
         tables = _tables(g, bc.KernelSpec.product())
         state = bc.sample_initial(
             bc.InitialCondition.exponential(1.0, mass=1e10), g)
-        rate = float(np.max(tables.K_death @ (state.density * g.widths)))
+        rate = float(np.max(dense_panels(tables)[0]
+                               @ (state.density * g.widths)))
         assert rate > 1e12
         traj = bc.integrate(tables, state, bc.StepControl(t_end=0.1 / rate))
         mass = g.centers * g.widths
