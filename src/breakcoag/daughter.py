@@ -198,7 +198,7 @@ _PROB_FORMS = {"constant", "small_volume_floor", "table"}
 
 @dataclass(frozen=True)
 class ProbSpec:
-    """Coalescence probability E(x, y), symmetric with values in [0, 1]."""
+    """Coalescence probability E(x, y) in [0, 1], read at (smaller, larger)."""
 
     form: str
     params: dict = field(default_factory=dict)

@@ -160,8 +160,8 @@ def verify_dlvp(pc: PhiConstruction, x: np.ndarray, h: np.ndarray,
 
     (i) ``int Phi h`` is finite and stable under coarsening the tabulation;
     (ii) Phi is non-increasing and convex; (iii) ``x^theta Phi`` is
-    non-decreasing with limit 0 at x -> 0; (iv) the two derivative
-    inequalities behind convexity/monotonicity of the composed weight.
+    non-decreasing, with limit 0 at x -> 0 (read at 1/j_last); (iv) the
+    two inequalities on Phi_0 behind Phi's convexity and monotonicity.
     """
     theta = pc.theta
     j = pc.j_seq.astype(float)
@@ -194,9 +194,11 @@ def verify_dlvp(pc: PhiConstruction, x: np.ndarray, h: np.ndarray,
 
     weighted = xs ** theta * phi
     wslopes = np.diff(weighted) / np.diff(xs)
-    shrink = weighted[0] <= 0.05 * weighted[-1]
+    # at the lower end of Phi's range, Phi(1/j) = Phi_0(j) / j + 2/theta
+    smallest = (pc.phi0_at_breaks[-1] / j[-1] + 2.0 / theta) / j[-1] ** theta
+    shrink = smallest <= 0.05 * weighted[-1]
     check3 = {"ok": bool(np.all(wslopes >= -1e-12 * np.max(weighted)) and shrink),
-              "smallest": float(weighted[0]), "largest": float(weighted[-1])}
+              "smallest": smallest, "largest": float(weighted[-1])}
 
     # interior samples of every resolvable piece
     pts = []

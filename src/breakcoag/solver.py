@@ -21,10 +21,10 @@ Design notes
 * Operator layout.  The symmetric kernel is held once: the death kernel
   as its upper triangle, diagonal halved, in row panels of the flat
   ``gain_w``.  Panel p holds rows r_p = p ``_PANEL_ROWS`` up to the next
-  panel's; row i holds the triangle from column r_p on, then each gain
-  block from column r_p + D on.  With the halved diagonal an entry is the
-  collision rate of the pair (i <= j), and the death rate takes two GEMVs
-  per panel, one from each side.  Off the band, j - i >= D, a pair's
+  panel's; row i holds each triangle block from column r_p on, then each
+  gain block from column r_p + D on.  With the halved diagonal an entry
+  is the rate of the pair (i <= j), and a triangle block's sums take two
+  GEMVs per panel, one from each side.  Off the band, j - i >= D, a pair's
   coalescence lands on its larger partner's cell j and on j + 1 with the
   bracket weights 1 - c_i / (c_{j+1} - c_j) and c_i / (c_{j+1} - c_j)
   (in the top cell on N - 1 alone, s / c_{N-1}), so one matrix
@@ -43,17 +43,18 @@ Design notes
   bracket pairs clamped onto cell 0 take a padded column, so every pair
   is in the panels or the band (else the build raises).  The top-cell
   stream deposits every complete cell below the top: a suffix sum over
-  the cells, applied to the O(N) per-lump table ``lump_*``.  Under ``power_each`` parent j of
-  each pair breaks at one rate ``n_j sum_i n_i K_ji (1 - E_ji)``, like a
-  pair of total size c_j (top cell j, partial cell [e_j, c_j] bracketed
-  at j - 1 and j), spread by the (3, N) ``parent_w``: from the breakage
-  block ``stack`` = ``(K (1 - E))^T`` of the gain kernel, or from the
-  death rate if the kernel is capped and E constant (1 - E then rides in
+  the cells, applied to the O(N) per-lump table ``lump_*``.  Under
+  ``power_each`` both partners of a pair break at the rate F = (1 - E) K,
+  E read at (c_i, c_j), i <= j, as coalescence reads it, so mass is kept
+  for any E.  Parent j breaks like a pair of total size c_j (top cell j,
+  partial cell [e_j, c_j] at j - 1 and j), spread by the (3, N)
+  ``parent_w`` from (F n)_j: F is a second triangle block, or the death
+  kernel if it is capped and E constant (1 - E then rides in
   ``parent_w``).  K and E enter only through these weights, and the
   weak-form residual reads its rates through the same ``_rates``.
 * ``build_tables`` works in row blocks of the kernel and in blocks of
   ``_PAIR_BLOCK`` pairs along the diagonals, filling the tables in place:
-  its peak memory is 1.13-1.15 times the table bytes at N = 800 (1.32
+  its peak memory is 1.13-1.18 times the table bytes at N = 800 (1.32
   for the smallest, ``power_each`` at constant E), and the block size
   changes no bit of the tables.
 """
@@ -121,11 +122,9 @@ class OperatorTables:
     prob: ProbSpec
     n_trunc: float
     offgrid_loss: bool
-    stack: np.ndarray | None           # per-parent (N, N) (K (1 - E))^T, None
-                                       # where 1 - E folds into parent_w
-    gain_w: np.ndarray                 # row panels: death triangle, then Ê
-                                       # unless shared, 3 fragment blocks
-                                       # unless per-parent
+    gain_w: np.ndarray                 # row panels: death triangle; F (per
+                                       # parent) and Ê unless shared; three
+                                       # fragment blocks unless per-parent
     panel_off: np.ndarray              # (2, P + 1) first row, flat start
     parent_w: np.ndarray | None        # per-parent (3, N): cells j - 1, j, top j
     band_w: np.ndarray                 # (G, 2, D, N + span) bracket pairs
@@ -244,28 +243,29 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     shift[:, :D] = band_shift[k // 2] - pad + k[:, None] % 2
     shift[:, D:] = offset[:, None]
 
-    # panel p holds rows [r_p, r_{p+1}); row i holds the death triangle
-    # from column r_p, then each gain block from column r_p + D: Ê unless
-    # it is E times the triangle, then the fragment blocks
+    # panel p holds rows [r_p, r_{p+1}); row i holds from column r_p the
+    # death triangle, then F unless 1 - E rides in parent_w; from column
+    # r_p + D each gain block: Ê unless it is E times the death triangle,
+    # then the fragment blocks
+    n_tri = 1 + (daughter.per_parent and not shared)
     hat = 0 if shared else 1
     n_gain = hat + (0 if daughter.per_parent else 3)
     rows = np.append(np.arange(0, N, _PANEL_ROWS), N)
     r = rows[:-1]
     wide = np.maximum(N - D - r, 0)
-    panel_off = np.array([rows, np.concatenate(([0], np.cumsum(
-        np.diff(rows) * (N - r + n_gain * wide))))])
+    row_w = n_tri * (N - r) + n_gain * wide          # a row of panel p
+    panel_off = np.array([rows, np.r_[0, np.cumsum(np.diff(rows) * row_w)]])
     gain_w = np.zeros(panel_off[1, -1])
     i = np.arange(N)
     p = i // _PANEL_ROWS
-    # the triangle's entry (i, j) is gain_w[tri[i] + j - i]
-    tri = panel_off[1, p] + (i - r[p]) * (N - r[p] + n_gain * wide[p] + 1)
+    # triangle block b's entry (i, j) is gain_w[tri[i] + b (N - r_p) + j - i]
+    tri = panel_off[1, p] + (i - r[p]) * (row_w[p] + 1)
 
     # offgrid_loss drops the rate cap and keeps the raw kernel in the loss
     # term: pairs whose product leaves the grid still collide but produce
     # nothing representable, so mass genuinely leaks to large sizes — the
     # configuration used to observe gelation.  The default caps and cuts
     # both terms identically, which conserves mass exactly.
-    stack = np.zeros((N, N)) if daughter.per_parent and not shared else None
     step = max(1, _PAIR_BLOCK // N)
     for r0 in range(0, N, step):
         r1 = min(r0 + step, N)
@@ -280,15 +280,16 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         if not np.allclose(K[:, :r1], np.concatenate((above, K[:, r0:r1])).T,
                            rtol=1e-12, atol=0):
             raise ConfigError("kernel must be symmetric, K(x, y) = K(y, x)")
-        if stack is not None:
-            broken = stack.T[r0:r1]
-            np.subtract(1.0, eval_E(prob, x, c), out=broken)
-            broken *= np.where(live, K, 0.0)
+        # F reads E(c_i, c_j), i <= j, as coalescence does
+        blocks = [K] if n_tri == 1 else [
+            K, (1.0 - eval_E(prob, x, c)) * np.where(live, K, 0.0)]
         # a diagonal pair is one collision type; an off-diagonal pair
         # stands for both orders, each at half the rate of the gain kernel
-        K[i[:r1 - r0], i[r0:r1]] *= 0.5
-        for row in range(r0, r1):
-            gain_w[tri[row]:tri[row] + N - row] = K[row - r0, row:]
+        for b, block in enumerate(blocks):
+            block[i[:r1 - r0], i[r0:r1]] *= 0.5
+            for row in range(r0, r1):
+                at = tri[row] + b * (N - r[p[row]])
+                gain_w[at:at + N - row] = block[row - r0, row:]
 
     # blocks of _PAIR_BLOCK pairs along the diagonals from first[d] on
     first = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))
@@ -301,7 +302,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         out, coag = streams(iu, ju, gain_w[tri[iu] + d])
         width = wide[p[iu[q:]]]
         # gain block 0 of the pair (i, j), from column r_p + D of row i
-        cell = tri[iu[q:]] - iu[q:] + N + ju[q:] - r[p[iu[q:]]] - D
+        cell = tri[iu[q:]] - iu[q:] + ju[q:] - D + n_tri * (N - r[p[iu[q:]]])
         if hat:
             gain_w[cell] = coag[q:]
         for (dest_k, w, live_k), sh, g in zip(out, shift, k):
@@ -319,8 +320,8 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     lump_src, lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
-        n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, stack=stack,
-        gain_w=gain_w, panel_off=panel_off, parent_w=parent_w,
+        n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, gain_w=gain_w,
+        panel_off=panel_off, parent_w=parent_w,
         band_w=band_w, band_shift=band_shift, band_dest=band_dest,
         lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
 
@@ -340,24 +341,27 @@ def _rates(tables: OperatorTables, density: np.ndarray):
     number = density * g.widths
     _, _, D, L = tables.band_w.shape
     shared = _shares_death(tables.prob, tables.offgrid_loss)
+    n_tri = 1 + (tables.parent_w is not None and not shared)
     pairs = np.array([number, c * number])
-    # the death rate; sum_i n_i Ê_ij and sum_i c_i n_i Ê_ij; the fragment
-    # gains at j - 1, j and top cell j
-    sums = np.zeros((6, N))
-    death, coag, frag = sums[0], sums[1:3], sums[3:]
+    # the death rate, F n; sum_i n_i Ê_ij and sum_i c_i n_i Ê_ij; the
+    # fragment gains at j - 1, j and top cell j
+    sums = np.zeros((7, N))
+    death, coag, frag = sums[0], sums[2:4], sums[4:]
     first, off = tables.panel_off.tolist()
     for r0, r1, o0, o1 in zip(first, first[1:], off, off[1:]):
         panel = tables.gain_w[o0:o1].reshape(r1 - r0, -1)
-        # row 0 gives the death rate and the fragment gains, both rows
-        # the sums of Ê off the panel's corner
+        # row 0 gives the triangles' upper sides and the fragment gains,
+        # both rows the sums of Ê off the panel's corner
         Y = pairs[:, r0:r1] @ panel
-        death[r0:] += Y[0, :N - r0]
-        death[r0:r1] += panel[:, :N - r0] @ number[r0:]
+        T = N - r0
+        for b in range(n_tri):
+            sums[b, r0:] += Y[0, b * T:(b + 1) * T]
+            sums[b, r0:r1] += panel[:, b * T:(b + 1) * T] @ number[r0:]
         W = N - D - r0
         if W <= 0:
             continue
         # Ê from column r0 + D: the death triangle's columns, or its own
-        h0 = D if shared else N - r0
+        h0 = D if shared else n_tri * T
         # in its first B - 1 columns the panel's rows below the first
         # reach back onto the band's diagonals: the m by m corner holds
         # every pair of them off the band
@@ -368,19 +372,18 @@ def _rates(tables: OperatorTables, density: np.ndarray):
         if tables.parent_w is None:
             # adding into a view skips the copy back of ``a[:, i:] += ...``
             gains = frag[:, r0 + D:]
-            gains += Y[0, N - r0 + (0 if shared else W):].reshape(3, W)
+            gains += Y[0, T + (0 if shared else W):].reshape(3, W)
     if shared:
         coag *= tables.prob.params["value"]
-    sums[1:] *= number
+    sums[2:] *= number
     # the bracket rule off the band: c_i / (c_{j+1} - c_j) of the pair's
     # number moves up to j + 1; in the top cell s / c_{N-1} stays there
     up = coag[1, :-1] / (c[1:] - c[:-1])
     coag[0, -1] += coag[1, -1] / c[-1]
     if tables.parent_w is not None:
-        # n_j times K (1 - E) n breaks parent j, or the death rate K n
-        # with the constant 1 - E in parent_w
-        broken = death if tables.stack is None else number @ tables.stack
-        frag = tables.parent_w * (number * broken)
+        # n_j times (F n)_j breaks parent j, or the death rate K n with
+        # the constant 1 - E in parent_w
+        frag = tables.parent_w * (number * sums[n_tri - 1])
     # column m of diagonal d in bracket pair g is the pair (m - shift - d,
     # m - shift): one gather per chunk of diagonals reads both rows off
     # the zero-padded numbers

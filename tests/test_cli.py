@@ -37,6 +37,22 @@ def _write(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def _run_in_subprocess(tmp_path, cfg, probe):
+    """``breakcoag run`` of ``cfg`` in a fresh interpreter: its exit code
+    and the value of the expression ``probe`` afterwards, as words."""
+    script = ("import sys\nfrom breakcoag.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              f"print(code, {probe})")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-c", script, "run", _write(tmp_path, cfg),
+         "--out", str(tmp_path / "results")],
+        env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()[-2:]
+
+
 class TestParseConfig:
     def test_minimal_valid(self, tmp_path):
         cfg = cli.parse_config(_write(tmp_path, MINIMAL))
@@ -159,17 +175,16 @@ class TestMain:
     def test_run_loads_no_openssl(self, tmp_path):
         # the config hash uses CPython's own SHA-256: hashlib's OpenSSL
         # backend would add megabytes to every run's resident memory
-        script = ("import sys\nfrom breakcoag.cli import main\n"
-                  "code = main(sys.argv[1:])\n"
-                  "print(code, '_hashlib' in sys.modules)")
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        out = subprocess.run(
-            [sys.executable, "-c", script, "run", _write(tmp_path, MINIMAL),
-             "--out", str(tmp_path / "results")],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.split()[-2:] == ["0", "False"]
+        probe = "'_hashlib' in sys.modules"
+        assert _run_in_subprocess(tmp_path, MINIMAL, probe) == ["0", "False"]
+
+    def test_point_mass_run_imports_no_scipy(self, tmp_path):
+        # scipy is a test dependency: point_mass data integrate the
+        # Gaussian with math.erf
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["initial"] = {"family": "point_mass", "x0": 1.0, "w": 0.1}
+        probe = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+        assert _run_in_subprocess(tmp_path, cfg, probe) == ["0", "False"]
 
     def test_config_error_exit_two(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
@@ -243,6 +258,17 @@ class TestMain:
                          "--override", override])
         assert code == 2
         assert not out.exists()
+
+    def test_dlvp_on_a_two_decade_grid(self, tmp_path):
+        # the grid ends far above 1 / j_last: the weighted limit at 0 is
+        # read there, at the lower end of Phi's range, not at the grid's
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"] = {"x_min": 1e-1, "x_max": 1e1, "cells": 40}
+        cfg["experiments"] = ["dlvp"]
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "experiments.json").read_text())["dlvp"][
+            "ok"]
 
     def test_contraction_gate_failure(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
@@ -485,6 +511,28 @@ class TestMain:
         exp = json.loads((out / "experiments.json").read_text())
         assert exp["mass_conservation"]["asserted"]
         assert exp["mass_conservation"]["ok"]
+
+    def test_asymmetric_prob_table_on_distinct_axes_conserves_mass(
+            self, tmp_path):
+        # a 5-point x axis and a 4-point y axis: the interpolated E is not
+        # symmetric, E(x, y) != E(y, x), but every pair's coalescence and
+        # both parents' breakage read the one value E(smaller, larger)
+        xs = np.geomspace(1e-3, 1e2, 5).tolist()
+        ys = np.geomspace(1e-3, 1.0001e2, 4).tolist()
+        rows = [f"{u!r},{v!r},{0.2 + 0.6 * math.exp(-u - v)!r}"
+                for u in xs for v in ys]
+        (tmp_path / "prob.csv").write_text("x,y,E\n" + "\n".join(rows))
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"] = {"x_min": 1e-3, "x_max": 1e2, "cells": 30}
+        cfg["kernel"] = {"family": "additive"}
+        cfg["daughter"] = {"family": "power_each", "nu": 0.0}
+        cfg["prob"] = {"form": "table", "path": str(tmp_path / "prob.csv")}
+        out = tmp_path / "results"
+        assert cli.main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        mass = json.loads((out / "experiments.json").read_text())[
+            "mass_conservation"]
+        assert mass["asserted"] and mass["ok"]
+        assert mass["max_drift"] <= 1e-12
 
     def test_asymmetric_prob_table_exit_two(self, tmp_path, capsys):
         # E(x_a, y_b) = 0.1 (a + 1) on one shared axis

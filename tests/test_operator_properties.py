@@ -130,15 +130,14 @@ def _deposits(tables):
     K, _, E = dense_kernels(tables)
     i, j = np.triu_indices(N)
     rate = np.where(i == j, 0.5, 1.0) * K[i, j]
+    # the pair breaks with E(c_i, c_j), both parents under a per-parent law
     coag = rate * E[i, j]
     frag = rate * (1.0 - E[i, j])
     out = np.zeros((N, N, N))
     np.add.at(out, (i, j, d["coag_l1"][i, j]), coag * d["coag_w1"][i, j])
     np.add.at(out, (i, j, d["coag_l2"][i, j]), coag * d["coag_w2"][i, j])
     if parent is not None:
-        # both parents break, each by its own E: parent i by E(c_i, c_j)
-        out[i, j] += rate[:, None] * ((1.0 - E[i, j])[:, None] * parent[i]
-                                      + (1.0 - E[j, i])[:, None] * parent[j])
+        out[i, j] += frag[:, None] * (parent[i] + parent[j])
     else:
         frag = frag * d["frag_w"][i, j]
         np.add.at(out, (i, j, d["frag_pl1"][i, j]),
@@ -163,24 +162,26 @@ def test_blocks_and_band_carry_each_pair_once(case):
     c = g.centers
     N = g.cell_count
     D = tables.band_w.shape[2]
-    death, hat, blocks = dense_panels(tables)
+    death, hat, blocks, F = dense_panels(tables)
     # the panels hold no gain of the band's diagonals j - i < D
     i, j = np.indices((N, N))
     assert not hat[j - i < D].any() and not blocks[:, j - i < D].any()
     # (weights, offset): column j of the weights deposits at j + offset.
     # Ê by the bracket rule: c_i / (c_{j+1} - c_j) of a pair's number
-    # moves up to j + 1, and the top cell keeps s / c_{N-1} of it
-    up = hat * c[:, None] / np.append(np.diff(c), -c[-1])
-    placed = [(hat - up, 0), (np.where(j < N - 1, up, 0.0), 1)]
+    # moves up to j + 1, and the top cell keeps s / c_{N-1} of it.  The
+    # share left at j is formed as the reference forms it, 1 - up: where
+    # up is near 1, hat - hat up differs from it by far more than an ulp
+    up = c[:, None] / np.append(np.diff(c), -c[-1])
+    placed = [(hat * (1.0 - up), 0), (np.where(j < N - 1, hat * up, 0.0), 1)]
     if tables.parent_w is None:
-        assert tables.stack is None
+        assert F is None
         placed += zip(blocks, (-1, 0, N))
     else:
         # parent j breaks at rate n_j (n @ brk)_j and spreads it by its
         # weights: partial cell at j - 1 and j, top cell j
         fold = tables.prob.form == "constant" and not tables.offgrid_loss
-        assert (tables.stack is None) == fold
-        brk = death if fold else tables.stack
+        assert (F is None) == fold
+        brk = death if fold else F
         placed += [(brk * w, offset)
                    for w, offset in zip(tables.parent_w, (-1, 0, N))]
     got = np.zeros((N, N, 2 * N + 1))      # N + t is the top cell t
@@ -206,8 +207,11 @@ def test_blocks_and_band_carry_each_pair_once(case):
     cells = got[..., :N] + got[..., N:] @ prefix
     assert_allclose(cells, _deposits(tables), rtol=1e-14, atol=0.0)
     # the death triangle is the kernel capped and cut, or raw with
-    # offgrid_loss
-    assert_array_equal(np.triu(death), np.triu(dense_kernels(tables)[1]))
+    # offgrid_loss; F is the gain kernel times 1 - E(c_i, c_j), i <= j
+    K_gain, K_death, E = dense_kernels(tables)
+    assert_array_equal(np.triu(death), np.triu(K_death))
+    if F is not None:
+        assert_array_equal(np.triu(F), np.triu((1.0 - E) * K_gain))
 
 
 @given(scenarios(offgrid_loss=False))
@@ -229,13 +233,14 @@ def test_no_fragment_gain_when_E_is_one(case):
     assert np.all(np.abs(_rhs(tables, density) - _rhs(coag_only, density))
                   <= 1e-12 * scale)
     N = tables.grid.cell_count
+    _, _, blocks, F = dense_panels(tables)
     if tables.parent_w is None:
         # the partial cell's brackets and the top cell
-        assert not dense_panels(tables)[2].any()
-    elif tables.stack is None:
+        assert not blocks.any()
+    elif F is None:
         assert not tables.parent_w.any()       # the weights carry 1 - E
     else:
-        assert not tables.stack.any()          # the breakage block
+        assert not F.any()                     # the breakage rate F
     assert not tables.band_w[1:].any()       # the fragment bracket pairs
 
 

@@ -94,35 +94,40 @@ def dense_panels(tables):
     """The row panels read back as dense (N, N) arrays: the death kernel,
     the stored upper triangle mirrored with its halved diagonal doubled
     back; Ê, the coalescence rate of each pair j - i >= D (E times the
-    death triangle where no table of its own is stored); and the fragment
+    death triangle where no table of its own is stored); the fragment
     gain blocks (n, N, N), entry [b, i, j] the weight of the pair (i, j)
     in block b, zero on the band's diagonals and wherever no panel
-    reaches."""
+    reaches; and F, the per-parent breakage rate (1 - E) K mirrored as
+    the death kernel is (None where 1 - E rides in ``parent_w``)."""
     N = tables.grid.cell_count
     D = tables.band_w.shape[2]
     rows, off = tables.panel_off
     assert rows[0] == 0 and rows[-1] == N and off[-1] == tables.gain_w.size
     shared = solver._shares_death(tables.prob, tables.offgrid_loss)
-    tri = np.zeros((N, N))
+    tris = np.zeros((1 + (tables.parent_w is not None and not shared), N, N))
     blocks = np.zeros((int(not shared) + 3 * (tables.parent_w is None),
                        N, N))
     for r0, r1, o0, o1 in zip(rows, rows[1:], off, off[1:]):
         panel = tables.gain_w[o0:o1].reshape(r1 - r0, -1)
-        tri[r0:r1, r0:] = panel[:, :N - r0]
-        blocks[:, r0:r1, r0 + D:] = panel[:, N - r0:].reshape(
+        h = len(tris) * (N - r0)
+        tris[:, r0:r1, r0:] = panel[:, :h].reshape(
+            r1 - r0, len(tris), N - r0).transpose(1, 0, 2)
+        blocks[:, r0:r1, r0 + D:] = panel[:, h:].reshape(
             r1 - r0, len(blocks), max(N - D - r0, 0)).transpose(1, 0, 2)
     i, j = np.indices((N, N))
-    assert not tri[i > j].any()
+    assert not tris[:, i > j].any()
+    full = tris + tris.transpose(0, 2, 1)
+    F = full[1] if len(full) > 1 else None
     if not shared:
-        return tri + tri.T, blocks[0], blocks[1:]
-    hat = np.where(j - i >= D, tables.prob.params["value"] * tri, 0.0)
-    return tri + tri.T, hat, blocks
+        return full[0], blocks[0], blocks[1:], F
+    hat = np.where(j - i >= D, tables.prob.params["value"] * tris[0], 0.0)
+    return full[0], hat, blocks, F
 
 
 def _reference_rhs(tables, density):
     """Slow evaluation straight from the dense kernels, per-pair and
-    fragment tables; the production path uses the row panels, the
-    breakage block, the band and the suffix sum and must agree."""
+    fragment tables; the production path uses the row panels, the band
+    and the suffix sum and must agree."""
     g = tables.grid
     N = g.cell_count
     d = dense_deposits(tables)
@@ -130,11 +135,11 @@ def _reference_rhs(tables, density):
     number = density * g.widths
     K_gain, K_death, E = dense_kernels(tables)
     R = K_gain * np.outer(number, number)
-    # a pair i <= j coalesces, and under a pair law breaks, with
-    # E(c_i, c_j); each parent breaks with E(its size, its partner's)
+    # a pair i <= j coalesces, or breaks (both parents under a per-parent
+    # law), with E(c_i, c_j)
     pair_E = np.triu(E) + np.triu(E, 1).T
     Rc = 0.5 * pair_E * R
-    Rb = 0.5 * (1.0 - (pair_E if parent is None else E)) * R
+    Rb = 0.5 * (1.0 - pair_E) * R
     gain = np.zeros(N)
     np.add.at(gain, d["coag_l1"].ravel(), (Rc * d["coag_w1"]).ravel())
     np.add.at(gain, d["coag_l2"].ravel(), (Rc * d["coag_w2"]).ravel())
@@ -256,23 +261,22 @@ class TestBuildTables:
         table = bc.ProbSpec.table(axis, axis, 0.2 + 0.1 * np.add.outer(
             np.arange(5), np.arange(5)))
         # constant, floor and table E, and offgrid_loss; the death
-        # triangle and the gain blocks sit in the flat panels, and
-        # per-parent breakage reads the death rate when 1 - E folds into
-        # its weights, a breakage block of its own otherwise
+        # triangle, per-parent breakage's F where 1 - E does not fold
+        # into its weights, and the gain blocks all sit in the flat panels
         for kw in ({}, {"prob": bc.ProbSpec.small_volume_floor(0.6, 0.2)},
                    {"prob": table}, {"offgrid_loss": True}):
             fold = "prob" not in kw and "offgrid_loss" not in kw
-            for daughter, own in ((bc.DaughterSpec.power_total(0.0), False),
-                                  (bc.DaughterSpec.power_each(0.0),
-                                   not fold)):
+            for daughter in (bc.DaughterSpec.power_total(0.0),
+                             bc.DaughterSpec.power_each(0.0)):
                 t = _tables(g, kernel=bc.KernelSpec.constant(1.0),
                             daughter=daughter, **kw)
                 assert t.gain_w.ndim == 1
                 dense = {name for name, v in vars(t).items()
                          if isinstance(v, np.ndarray)
                          and sum(n >= N for n in v.shape) >= 2}
-                assert dense == ({"stack"} if own else set()), kw
-                assert own == (t.stack is not None)
+                assert dense == set(), kw
+                own = daughter.per_parent and not fold
+                assert (dense_panels(t)[3] is not None) == own, kw
 
     @pytest.mark.parametrize("kw", [
         {},
@@ -361,6 +365,22 @@ class TestBuildTables:
         assert t.gain_w.size <= tri
         assert _held_bytes(t) <= 8 * (tri + 16 * N) + t.band_w.nbytes
 
+    def test_per_parent_breakage_is_a_second_triangle(self):
+        # the fine-grid operator under a floor E: per-parent breakage's F
+        # is one more triangle in the panels, beside the death triangle
+        # and Ê, and no (N, N) table is held
+        N = 800
+        t = _tables(bc.make_grid(1e-4, 1e3, N),
+                    daughter=bc.DaughterSpec.power_each(0.0),
+                    prob=bc.ProbSpec.small_volume_floor(0.6, 0.2))
+        B, D = solver._PANEL_ROWS, t.band_w.shape[2]
+        rows = np.append(np.arange(0, N, B), N)
+        tri = N * (N + 1) // 2 + (len(rows) - 1) * B * (B - 1) // 2
+        hat = np.diff(rows) @ np.maximum(N - D - rows[:-1], 0)
+        assert t.gain_w.size <= 2 * tri + hat
+        assert (_held_bytes(t)
+                <= 8 * (2 * tri + hat + 16 * N) + t.band_w.nbytes)
+
     @pytest.mark.parametrize("grid, daughter, rate", [
         ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39), 1.0),
         ((1.0, 2.0 ** 12, 48), bc.DaughterSpec.power_total(0.0), 1e-2),
@@ -390,23 +410,36 @@ class TestBuildTables:
             assert t.band_dest[1, 0, m + 1] == 0
 
     @pytest.mark.parametrize("rows", [1, 7, None])
-    @pytest.mark.parametrize("grid, daughter, rate", [
-        ((1e-3, 8e-3, 5), bc.DaughterSpec.power_total(0.0), 1.0),
-        ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39), 1.0),
-        ((1.0, 2.0 ** 12, 48), bc.DaughterSpec.power_total(0.0), 1e-2),
-        ((1.0, 2.0 ** 12, 48), bc.DaughterSpec.power_each(0.0), 1e-2),
+    @pytest.mark.parametrize("grid, kw, rate", [
+        ((1e-3, 8e-3, 5), {"daughter": bc.DaughterSpec.power_total(0.0)},
+         1.0),
+        ((1e-3, 1e3, 3), {"daughter": bc.DaughterSpec.power_total(-0.39)},
+         1.0),
+        ((1.0, 2.0 ** 12, 48),
+         {"daughter": bc.DaughterSpec.power_total(0.0)}, 1e-2),
+        ((1.0, 2.0 ** 12, 48),
+         {"daughter": bc.DaughterSpec.power_each(0.0)}, 1e-2),
+        ((1.0, 2.0 ** 12, 48),
+         {"daughter": bc.DaughterSpec.power_each(0.0),
+          "prob": bc.ProbSpec.small_volume_floor(0.6, 0.2, 30.0)}, 1e-2),
+        ((1.0, 2.0 ** 12, 48),
+         {"daughter": bc.DaughterSpec.power_each(0.0),
+          "offgrid_loss": True}, 1e-2),
     ], ids=["band-only", "coarse", "doubling-power_total",
-            "doubling-power_each"])
-    def test_panel_rows_do_not_matter(self, monkeypatch, grid, daughter,
-                                      rate, rows):
+            "doubling-power_each", "doubling-power_each-floor",
+            "doubling-power_each-offgrid_loss"])
+    def test_panel_rows_do_not_matter(self, monkeypatch, grid, kw, rate,
+                                      rows):
         # rows=None: one panel of N rows.  band-only: every pair lies on
         # the band's D = N diagonals, so the panels hold the death
-        # triangle alone.  The band is gathered as many diagonals at once
+        # triangle alone.  floor and offgrid_loss: per-parent breakage's
+        # F sits beside the death triangle in every panel.  The band is
+        # gathered as many diagonals at once
         g = bc.make_grid(*grid)
         N = g.cell_count
         monkeypatch.setattr(solver, "_PANEL_ROWS", rows or N)
         monkeypatch.setattr(solver, "_BAND_DIAGONALS", rows or N)
-        t = _tables(g, daughter=daughter)
+        t = _tables(g, **kw)
         D = t.band_w.shape[2]
         first = t.panel_off[0]
         assert first.size - 1 == -(-N // (rows or N))
