@@ -52,11 +52,11 @@ Design notes
   kernel if it is capped and E constant (1 - E then rides in
   ``parent_w``).  K and E enter only through these weights, and the
   weak-form residual reads its rates through the same ``_rates``.
-* ``build_tables`` works in row blocks of the kernel and in blocks of
-  ``_PAIR_BLOCK`` pairs along the diagonals, filling the tables in place:
-  its peak memory is 1.13-1.18 times the table bytes at N = 800 (1.32
-  for the smallest, ``power_each`` at constant E), and the block size
-  changes no bit of the tables.
+* ``build_tables`` walks the pairs i <= j once, in row blocks of at most
+  ``_PAIR_BLOCK`` pairs, reading E once per pair and K twice, K(x, y) and
+  K(y, x), and filling every table in place: its peak memory is 1.14-1.16
+  times the table bytes at N = 800 (1.28 for the smallest, ``power_each``
+  at constant E), and the block size changes no bit of the tables.
 """
 
 from __future__ import annotations
@@ -197,15 +197,14 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         if shared:
             parent_w *= 1.0 - prob.params["value"]
 
-    def streams(iu, ju, rate):
-        """(destination, weight, live) per stream of pairs iu <= ju at the
-        pair rate ``rate``, and their coalescence rate; ``live``: the
-        weights that geometry and n_trunc leave non-zero."""
-        s = c[iu] + c[ju]
+    def streams(x, y, rate, E):
+        """(destination, weight, live) per stream of pairs of sizes x <= y
+        at the gain rate ``rate`` and coalescence probability ``E``, and
+        their coalescence rate; ``live``: the weights that geometry and
+        n_trunc leave non-zero."""
+        s = x + y
         live = s < n_trunc
-        l1, l2, w1, w2 = _remap_points(c, c[ju], 1.0, c[iu])
-        rate[~live] = 0.0
-        E = eval_E(prob, c[iu], c[ju])
+        l1, l2, w1, w2 = _remap_points(c, y, 1.0, x)
         coag = rate * E
         out = [(l1, coag * w1, live & (w1 != 0)),
                (l2, coag * w2, live & (w2 != 0))]
@@ -225,9 +224,8 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     offset = np.array([0, 1, -1, 0, 0])[:S]
     # the shift of bracket pair k // 2 on diagonal d is read off the lower
     # bracket of the pair (0, d); the band holds the diagonals below the
-    # last one where that pair breaks the rule
-    dest, _, live = map(np.array, zip(*streams(
-        np.zeros(N, dtype=int), np.arange(N), np.ones(N))[0]))
+    # last one where that pair breaks the rule (its weights go unread)
+    dest, _, live = map(np.array, zip(*streams(c[0], c, 1.0, 1.0)[0]))
     shift = dest - base[:, None] - np.arange(N)
     off = np.any(live & (shift != offset[:, None]), axis=0)
     D = np.max(off.nonzero()[0] + 1, initial=0)
@@ -266,55 +264,49 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     # nothing representable, so mass genuinely leaks to large sizes — the
     # configuration used to observe gelation.  The default caps and cuts
     # both terms identically, which conserves mass exactly.
-    step = max(1, _PAIR_BLOCK // N)
-    for r0 in range(0, N, step):
-        r1 = min(r0 + step, N)
-        x = c[r0:r1, None]
-        K = eval_kernel(kernel, x, c)
-        live = x + c < n_trunc
+    r0 = 0
+    while r0 < N:                 # row blocks of at most _PAIR_BLOCK pairs
+        r1 = min(r0 + max(1, _PAIR_BLOCK // (N - r0)), N)
+        iu, ju = r0 + np.array(np.triu_indices(r1 - r0, 0, N - r0))
+        r0 = r1
+        x, y = c[iu], c[ju]
+        K = eval_kernel(kernel, x, y)
+        if not np.allclose(eval_kernel(kernel, y, x), K, rtol=1e-12, atol=0):
+            raise ConfigError("kernel must be symmetric, K(x, y) = K(y, x)")
+        live = x + y < n_trunc
         if not offgrid_loss:
             np.minimum(K, n_trunc, out=K)
             K[~live] = 0.0
-        # the rows above hold columns r0:r1 of the triangle
-        above = gain_w[tri[:r0, None] + np.arange(r0, r1) - i[:r0, None]]
-        if not np.allclose(K[:, :r1], np.concatenate((above, K[:, r0:r1])).T,
-                           rtol=1e-12, atol=0):
-            raise ConfigError("kernel must be symmetric, K(x, y) = K(y, x)")
-        # F reads E(c_i, c_j), i <= j, as coalescence does
-        blocks = [K] if n_tri == 1 else [
-            K, (1.0 - eval_E(prob, x, c)) * np.where(live, K, 0.0)]
         # a diagonal pair is one collision type; an off-diagonal pair
         # stands for both orders, each at half the rate of the gain kernel
-        for b, block in enumerate(blocks):
-            block[i[:r1 - r0], i[r0:r1]] *= 0.5
-            for row in range(r0, r1):
-                at = tri[row] + b * (N - r[p[row]])
-                gain_w[at:at + N - row] = block[row - r0, row:]
-
-    # blocks of _PAIR_BLOCK pairs along the diagonals from first[d] on
-    first = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))
-    for p0 in range(0, first[-1], _PAIR_BLOCK):
-        p1 = min(p0 + _PAIR_BLOCK, first[-1])
-        d = np.repeat(np.arange(N), np.diff(np.clip(first, p0, p1)))
-        ju = np.arange(p0, p1) - first[d] + d
-        iu = ju - d
-        q = min(max(first[D] - p0, 0), p1 - p0)     # pairs [:q] in the band
-        out, coag = streams(iu, ju, gain_w[tri[iu] + d])
-        width = wide[p[iu[q:]]]
+        d = ju - iu
+        K[d == 0] *= 0.5
+        at = tri[iu] + d
+        gain_w[at] = K                # the death triangle
+        K[~live] = 0.0                # the gain rate, under offgrid_loss too
+        # F reads E(c_i, c_j), i <= j, as coalescence does
+        E = eval_E(prob, x, y)
+        out, coag = streams(x, y, K, E)
+        T = N - r[p[iu]]
+        if n_tri == 2:
+            gain_w[at + T] = (1.0 - E) * K
+        band = d < D
+        off = ~band
         # gain block 0 of the pair (i, j), from column r_p + D of row i
-        cell = tri[iu[q:]] - iu[q:] + ju[q:] - D + n_tri * (N - r[p[iu[q:]]])
+        cell = (at + n_tri * T - D)[off]
+        width = (T - D)[off]
         if hat:
-            gain_w[cell] = coag[q:]
+            gain_w[cell] = coag[off]
         for (dest_k, w, live_k), sh, g in zip(out, shift, k):
             col = ju + sh[d]
             # every live stream must land where the band or the rule puts it
-            lands = np.concatenate((np.clip(col[:q], 0, N - 1), col[q:]))
+            lands = np.where(band, np.clip(col, 0, N - 1), col)
             if np.any(live_k & (dest_k != base[g] + lands)):
                 raise RuntimeError("a pair lands off the band and the blocks")
-            band_w[g // 2, g % 2, d[:q], col[:q] + pad - g % 2] = w[:q]
+            band_w[g // 2, g % 2, d[band], col[band] + pad - g % 2] = w[band]
             if g >= 2:
-                gain_w[cell + (hat + g - 2) * width] = w[q:]
-        del out, coag                 # before the next block's streams
+                gain_w[cell + (hat + g - 2) * width] = w[off]
+        del out, coag, dest_k, w, live_k  # before the next block's streams
     band_dest = (np.clip(np.arange(L) - pad + np.c_[0:2], 0, N - 1)
                  + base[::2, None, None])
     lump_src, lump_dest, lump_w = _frag_lumps(daughter, grid)

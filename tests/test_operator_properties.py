@@ -4,11 +4,14 @@ coalescence probabilities and non-negative states; and of the weak-form
 residual that reads it and the integration that steps it.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import breakcoag as bc
+from breakcoag import solver
 from breakcoag.solver import _phi_values, _rhs
 from test_solver import (_reference_rhs, dense_deposits, dense_fragments,
                          dense_kernels, dense_panels)
@@ -212,6 +215,20 @@ def test_blocks_and_band_carry_each_pair_once(case):
     assert_array_equal(np.triu(death), np.triu(K_death))
     if F is not None:
         assert_array_equal(np.triu(F), np.triu((1.0 - E) * K_gain))
+
+
+@given(scenarios(), st.integers(1, 2000))
+def test_pair_block_size_changes_no_bit(case, block):
+    # the default build holds every pair of up to 40 cells in one block
+    tables, _ = case
+    with patch.object(solver, "_PAIR_BLOCK", block):
+        blocked = bc.build_tables(tables.grid, tables.kernel, tables.n_trunc,
+                                  tables.daughter, tables.prob,
+                                  offgrid_loss=tables.offgrid_loss)
+    for name, v in vars(tables).items():
+        if isinstance(v, np.ndarray):
+            w = getattr(blocked, name)
+            assert v.dtype == w.dtype and np.array_equal(v, w), name
 
 
 @given(scenarios(offgrid_loss=False))

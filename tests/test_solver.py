@@ -290,14 +290,17 @@ class TestBuildTables:
             "singular"])
     def test_pair_block_size_does_not_matter(self, small_grid, monkeypatch,
                                              kw):
-        # 5050 pairs: blocks of 7 end mid-diagonal, and the last holds 3
+        # 5050 pairs in rows of 100 pairs down to 1: blocks of 7 take one
+        # row each but rows 97 and 98 together; blocks of 250 take 2 rows
+        # at first and up to 14 later, and the last one 6 pairs in 3 rows
         one = _tables(small_grid, **kw)
-        monkeypatch.setattr(solver, "_PAIR_BLOCK", 7)
-        blocked = _tables(small_grid, **kw)
-        for name, v in vars(one).items():
-            if isinstance(v, np.ndarray):
-                w = getattr(blocked, name)
-                assert v.dtype == w.dtype and np.array_equal(v, w), name
+        for block in (7, 250):
+            monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
+            blocked = _tables(small_grid, **kw)
+            for name, v in vars(one).items():
+                if isinstance(v, np.ndarray):
+                    w = getattr(blocked, name)
+                    assert v.dtype == w.dtype and np.array_equal(v, w), name
         if kw.get("offgrid_loss"):
             state = bc.sample_initial(bc.InitialCondition.exponential(1.0),
                                       small_grid)
@@ -380,6 +383,27 @@ class TestBuildTables:
         assert t.gain_w.size <= 2 * tri + hat
         assert (_held_bytes(t)
                 <= 8 * (2 * tri + hat + 16 * N) + t.band_w.nbytes)
+
+    def test_each_pair_reads_E_once(self, monkeypatch):
+        # the same operator: the build reads E once per pair i <= j, and K
+        # twice, K(x, y) and K(y, x) for the symmetry check
+        N = 800
+        points = {"E": 0, "K": 0}
+
+        def counted(name, evaluate):
+            def spy(spec, x, y):
+                points[name] += np.broadcast(x, y).size
+                return evaluate(spec, x, y)
+            return spy
+
+        monkeypatch.setattr(solver, "eval_E", counted("E", solver.eval_E))
+        monkeypatch.setattr(solver, "eval_kernel",
+                            counted("K", solver.eval_kernel))
+        _tables(bc.make_grid(1e-4, 1e3, N),
+                daughter=bc.DaughterSpec.power_each(0.0),
+                prob=bc.ProbSpec.small_volume_floor(0.6, 0.2))
+        assert points["E"] <= N * (N + 1) // 2 + N
+        assert points["K"] <= 1.05 * N * (N + 1)
 
     @pytest.mark.parametrize("grid, daughter, rate", [
         ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39), 1.0),
@@ -571,6 +595,17 @@ class TestBuildTables:
             bc.build_tables(g, kernel, g.x_max,
                             bc.DaughterSpec.power_total(0.0),
                             bc.ProbSpec.constant(0.5))
+        # asymmetric only where it exceeds the cap n_trunc = 100: the raw
+        # kernel is checked, with or without offgrid_loss
+        K = np.full((5, 5), 200.0)
+        K[0, 4] = 300.0
+        g = bc.make_grid(1e-3, 1e2, 40)
+        for offgrid_loss in (False, True):
+            with pytest.raises(ConfigError, match="symmetric"):
+                bc.build_tables(g, bc.KernelSpec.table(x, y, K), 100.0,
+                                bc.DaughterSpec.power_total(0.0),
+                                bc.ProbSpec.constant(0.5),
+                                offgrid_loss=offgrid_loss)
 
 
 class TestApplyRhs:
