@@ -18,45 +18,53 @@ Design notes
   With ``offgrid_loss=True`` pairs whose product exceeds the grid still
   collide (capped kernel, no pair-sum cutoff) but produce nothing on the
   grid — the configuration used to observe gelation as genuine mass loss.
-* Operator layout.  The symmetric kernel is held once: the death kernel
-  as its upper triangle, diagonal halved, in row panels of the flat
-  ``gain_w``.  Panel p holds rows r_p = p ``_PANEL_ROWS`` up to the next
-  panel's; row i holds each triangle block from column r_p on, then each
-  gain block from column r_p + D on.  With the halved diagonal an entry
-  is the rate of the pair (i <= j), and a triangle block's sums take two
-  GEMVs per panel, one from each side.  Off the band, j - i >= D, a pair's
-  coalescence lands on its larger partner's cell j and on j + 1 with the
-  bracket weights 1 - c_i / (c_{j+1} - c_j) and c_i / (c_{j+1} - c_j)
-  (in the top cell on N - 1 alone, s / c_{N-1}), so one matrix
-  Ê = E rate gives it from ``(n, c n) @ Ê``.  Under a constant E without
-  ``offgrid_loss`` Ê is E times the death triangle; otherwise it is the
-  first gain block.  The pair laws add three fragment blocks: the partial
-  cell's brackets at j - 1 and j, and the top cell j.  In its first
-  B - 1 columns from r_p + D a panel's lower rows reach onto the band's
-  diagonals; each call masks them with ``np.triu``.  On the first D
-  diagonals d = j - i a bracket pair lands at a shift of j set by d alone
-  (clamped at both grid ends): the band ``band_w`` holds it by
+* Operator layout.  The symmetric kernel is held once, as the rate of
+  each pair i <= j (diagonal halved), split by diagonal d = j - i.  The
+  pairs d >= D sit in row panels of the flat ``gain_w``: panel p holds
+  rows r_p = p ``_PANEL_ROWS`` up to the next panel's, and row i holds
+  each table, then each gain block, from column r_p + D, all of width
+  N - D - r_p, so a panel's corner below the diagonal D is zero.  A
+  triangle block's sums take two GEMVs per panel, one from each side.
+  The pairs d < D sit in ``band_rate``, (tables, D, N + 1): entry
+  [b, d, i] is the pair (i, i + d), zero past the grid; the smaller
+  partner reads row d at i, the larger at j - d through a view of row
+  stride N.  Off the band a pair's coalescence lands on its larger
+  partner's cell j and on j + 1 with the bracket weights
+  1 - c_i / (c_{j+1} - c_j) and c_i / (c_{j+1} - c_j) (in the top cell on
+  N - 1 alone, s / c_{N-1}), so the rate Ê = E rate gives it from
+  ``(n, c n) @ Ê``.  On the band every pair of a diagonal has its lower
+  bracket at l = j + sigma_d: the diagonals fall into classes of one
+  sigma, and class q sums A = sum_i n_i Ê_ij and B = sum_i c_i n_i Ê_ij,
+  then deposits U = ((c_j - c_l) A + B) / (c_{l+1} - c_l) at l + 1 and
+  A - U at l, or (B + c_j A) / c_l at l alone where it ties on a centre
+  or l is the top cell; ``band_class`` holds each class's cell per j and
+  each diagonal's class.  Under a constant E without ``offgrid_loss`` Ê
+  is E times the death rate; otherwise it is a table of its own.  The
+  pair laws add three fragment blocks: the partial cell's brackets at
+  j - 1 and j, and the top cell j.  On the band they land at a shift of j
+  set by d alone (clamped at both grid ends): ``band_w`` holds them by
   destination, applied by a gather and ``einsum`` per chunk of
-  ``_BAND_DIAGONALS`` diagonals, then one ``bincount``.  D and the shifts
-  depend on the grid, daughter and ``n_trunc`` only.  Ties at a center
-  sit on it, a size on an edge keeps the cell below as its top cell, and
-  bracket pairs clamped onto cell 0 take a padded column, so every pair
-  is in the panels or the band (else the build raises).  The top-cell
-  stream deposits every complete cell below the top: a suffix sum over
-  the cells, applied to the O(N) per-lump table ``lump_*``.  Under
-  ``power_each`` both partners of a pair break at the rate F = (1 - E) K,
-  E read at (c_i, c_j), i <= j, as coalescence reads it, so mass is kept
-  for any E.  Parent j breaks like a pair of total size c_j (top cell j,
-  partial cell [e_j, c_j] at j - 1 and j), spread by the (3, N)
-  ``parent_w`` from (F n)_j: F is a second triangle block, or the death
-  kernel if it is capped and E constant (1 - E then rides in
+  ``_BAND_DIAGONALS`` diagonals, then one ``bincount``.  D, the shifts
+  and the classes depend on the grid, daughter and ``n_trunc`` only.
+  Ties at a center sit on it, a size on an edge keeps the cell below as
+  its top cell, and bracket pairs clamped onto cell 0 take a padded
+  column, so every pair is in the panels or the band (else the build
+  raises).  The top-cell stream deposits every complete cell below the
+  top: a suffix sum over the cells, applied to the O(N) per-lump table
+  ``lump_*``.  Under ``power_each`` both partners of a pair break at the
+  rate F = (1 - E) K, E read at (c_i, c_j), i <= j, as coalescence reads
+  it, so mass is kept for any E.  Parent j breaks like a pair of total
+  size c_j (top cell j, partial cell [e_j, c_j] at j - 1 and j), spread
+  by the (3, N) ``parent_w`` from (F n)_j: F is a second table, or the
+  death rate if it is capped and E constant (1 - E then rides in
   ``parent_w``).  K and E enter only through these weights, and the
   weak-form residual reads its rates through the same ``_rates``.
 * ``build_tables`` walks the pairs i <= j once, in row blocks of at most
-  ``_PAIR_BLOCK`` pairs, reading E once per pair and K twice, K(x, y) and
-  K(y, x), and filling every table in place: its peak memory is 1.14-1.16
-  times the table bytes at N = 800 (1.28 for the smallest, ``power_each``
-  at constant E), and the block size changes no bit of the tables.
+  ``_PAIR_BLOCK`` pairs, reading E and K once per pair (a table kernel
+  K(y, x) too, for the symmetry check), and filling every table in place:
+  its peak memory is 1.10-1.12 times the table bytes at N = 800 (1.32 for
+  the smallest, ``power_each`` at constant E), and the block size changes
+  no bit of the tables.
 """
 
 from __future__ import annotations
@@ -64,7 +72,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .daughter import DaughterSpec, ProbSpec, eval_E
 from .errors import ConfigError, IntegrationError
@@ -127,11 +134,14 @@ class OperatorTables:
                                        # fragment blocks unless per-parent
     panel_off: np.ndarray              # (2, P + 1) first row, flat start
     parent_w: np.ndarray | None        # per-parent (3, N): cells j - 1, j, top j
-    band_w: np.ndarray                 # (G, 2, D, N + span) bracket pairs
+    band_rate: np.ndarray              # (B, D, N + 1) [b, d, i]: pair (i, i + d)
+    band_class: np.ndarray             # (Q + 2, N) cell per class, larger
+                                       # partner; class per diagonal
+    band_w: np.ndarray                 # (G, 2, D, N + span) fragment brackets
     band_shift: np.ndarray             # (G, D) lower bracket + pad - j
     band_dest: np.ndarray              # (G, 2, N + span) clamped at both ends
-    lump_src: np.ndarray               # (2N+1,) 0 sub-grid lump, k + 1 cell k
-    lump_dest: np.ndarray              # (2N+1,) bracketing centers
+    lump_dest: np.ndarray              # (2N+1,) the sub-grid lump, then each
+                                       # cell's bracketing centers
     lump_w: np.ndarray                 # (2N+1,) numbers per unit scale
 
 
@@ -145,16 +155,15 @@ def _frag_lump(nu, centers, lo, hi):
 
 
 def _frag_lumps(daughter: DaughterSpec, grid: Grid):
-    """Fragment deposits per unit scale of the sub-grid lump (source 0) and
-    each complete cell k (source k + 1), remapped onto centers, as
-    (source, destination, weight) arrays.  A pair with top cell t receives
-    every entry whose source is at most t.
+    """Fragment deposits per unit scale of the sub-grid lump and of each
+    complete cell k, remapped onto centers, as (destination, weight)
+    arrays: the lump, then each cell's lower brackets, then its upper
+    ones.  A pair with top cell t receives the lump and the cells below t.
     """
     nu = daughter.nu
     e = grid.edges
     l1, l2, w1, w2 = _frag_lump(nu, grid.centers, e[:-1], e[1:])
-    k = np.arange(1, grid.cell_count + 1)
-    return (np.concatenate(([0], k, k)), np.concatenate(([0], l1, l2)),
+    return (np.concatenate(([0], l1, l2)),
             np.concatenate(([e[0] ** (nu + 2.0) / grid.centers[0]], w1, w2)))
 
 
@@ -198,23 +207,22 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
             parent_w *= 1.0 - prob.params["value"]
 
     def streams(x, y, rate, E):
-        """(destination, weight, live) per stream of pairs of sizes x <= y
-        at the gain rate ``rate`` and coalescence probability ``E``, and
-        their coalescence rate; ``live``: the weights that geometry and
-        n_trunc leave non-zero."""
+        """(destination, weight, live) per stream of pairs of sizes x <= y:
+        the coalescence brackets' number weights per collision, then,
+        unless per parent, the fragment weights at the gain rate ``rate``
+        and coalescence probability ``E``; ``live``: the weights that
+        geometry and n_trunc leave non-zero."""
         s = x + y
         live = s < n_trunc
         l1, l2, w1, w2 = _remap_points(c, y, 1.0, x)
-        coag = rate * E
-        out = [(l1, coag * w1, live & (w1 != 0)),
-               (l2, coag * w2, live & (w2 != 0))]
+        out = [(l1, w1, live & (w1 != 0)), (l2, w2, live & (w2 != 0))]
         if not daughter.per_parent:
             top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, s)
             frag = rate * (1.0 - E) * s ** (-(daughter.nu + 1.0))
             out += [(pl1, frag * pw1, live & (pw1 != 0)),
                     (pl2, frag * pw2, live & (pw2 != 0)),
                     (N + top, frag, live)]
-        return out, coag
+        return out
 
     # streams: coalescence and partial-cell brackets (lower, upper), top
     # cell; off the band stream k deposits at base + j + offset, in the
@@ -225,39 +233,58 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     # the shift of bracket pair k // 2 on diagonal d is read off the lower
     # bracket of the pair (0, d); the band holds the diagonals below the
     # last one where that pair breaks the rule (its weights go unread)
-    dest, _, live = map(np.array, zip(*streams(c[0], c, 1.0, 1.0)[0]))
+    dest, _, live = map(np.array, zip(*streams(c[0], c, 1.0, 1.0)))
     shift = dest - base[:, None] - np.arange(N)
     off = np.any(live & (shift != offset[:, None]), axis=0)
     D = np.max(off.nonzero()[0] + 1, initial=0)
-    # a bracket pair clamped onto cell 0 at both ends sits one cell below
-    # its diagonal's shift, in a column the band pads at the bottom
-    low = dest[::2, :D] == 0
-    low[:S // 2] &= dest[1::2, :D] == 0
+    # coalescence on the band: runs of diagonals with one lower bracket
+    # shift, split between two brackets or, for a tie, on one cell.  Class
+    # q, or Q off the band, deposits the pairs of larger partner j at
+    # l = min(j + shift, N - 1), or at N + l where on l alone (a tie, or
+    # the top cell)
+    single = np.zeros(N, bool)
+    single[:D] = ~live[1, :D]
+    new = (np.diff(shift[0, :D], prepend=-1) != 0) | (
+        np.diff(single[:D], prepend=2) != 0)
+    first = np.flatnonzero(new)
+    cls = np.full(N, first.size)
+    cls[:D] = np.cumsum(new) - 1
+    lower = np.arange(N) + np.append(shift[0, first], 0)[:, None]
+    one = (lower >= N - 1) | np.append(single[first], False)[:, None]
+    band_class = np.vstack((np.minimum(lower, N - 1) + N * one, cls))
+    shift[1, :D] = shift[0, :D] + 1           # the upper bracket
+    # the fragment bracket pairs: a pair clamped onto cell 0 at both ends
+    # sits one cell below its diagonal's shift, in a column the band pads
+    # at the bottom
+    low = dest[2::2, :D] == 0
+    low[:1] &= dest[3:4, :D] == 0
     pad = int(low.any())
-    band_shift = shift[::2, :D] - low + pad
+    band_shift = shift[2::2, :D] - low + pad
     L = N + max(0, band_shift.max(initial=0))
     band_w = np.zeros((len(band_shift), 2, D, L))
-    k = np.arange(S)
-    shift[:, :D] = band_shift[k // 2] - pad + k[:, None] % 2
+    k = np.arange(2, S)
+    shift[2:, :D] = band_shift[(k - 2) // 2] - pad + k[:, None] % 2
     shift[:, D:] = offset[:, None]
 
-    # panel p holds rows [r_p, r_{p+1}); row i holds from column r_p the
-    # death triangle, then F unless 1 - E rides in parent_w; from column
-    # r_p + D each gain block: Ê unless it is E times the death triangle,
-    # then the fragment blocks
+    # band_rate[b, d, i] is the pair (i, i + d) in table b: the death
+    # triangle, then F unless 1 - E rides in parent_w, then Ê unless it
+    # is E times the death triangle.  Panel p holds rows [r_p, r_{p+1})
+    # of the pairs j - i >= D: row i holds each table, then each fragment
+    # block, from column r_p + D
     n_tri = 1 + (daughter.per_parent and not shared)
-    hat = 0 if shared else 1
-    n_gain = hat + (0 if daughter.per_parent else 3)
+    hat = int(not shared)
+    n_blk = n_tri + hat + (0 if daughter.per_parent else 3)
+    band_rate = np.zeros((n_tri + hat, D, N + 1))
     rows = np.append(np.arange(0, N, _PANEL_ROWS), N)
     r = rows[:-1]
     wide = np.maximum(N - D - r, 0)
-    row_w = n_tri * (N - r) + n_gain * wide          # a row of panel p
-    panel_off = np.array([rows, np.r_[0, np.cumsum(np.diff(rows) * row_w)]])
+    panel_off = np.array([rows, np.r_[0, np.cumsum(np.diff(rows) * n_blk
+                                                   * wide)]])
     gain_w = np.zeros(panel_off[1, -1])
     i = np.arange(N)
     p = i // _PANEL_ROWS
-    # triangle block b's entry (i, j) is gain_w[tri[i] + b (N - r_p) + j - i]
-    tri = panel_off[1, p] + (i - r[p]) * (row_w[p] + 1)
+    # block b's entry (i, j) is gain_w[at[i] + b W_p + j], W_p = wide[p]
+    at = panel_off[1, p] + (i - r[p]) * n_blk * wide[p] - r[p] - D
 
     # offgrid_loss drops the rate cap and keeps the raw kernel in the loss
     # term: pairs whose product leaves the grid still collide but produce
@@ -271,7 +298,10 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         r0 = r1
         x, y = c[iu], c[ju]
         K = eval_kernel(kernel, x, y)
-        if not np.allclose(eval_kernel(kernel, y, x), K, rtol=1e-12, atol=0):
+        # the analytic families are symmetric bit for bit, as + and *
+        # commute; a table need not be
+        if kernel.family == "table" and not np.allclose(
+                eval_kernel(kernel, y, x), K, rtol=1e-12, atol=0):
             raise ConfigError("kernel must be symmetric, K(x, y) = K(y, x)")
         live = x + y < n_trunc
         if not offgrid_loss:
@@ -281,41 +311,50 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         # stands for both orders, each at half the rate of the gain kernel
         d = ju - iu
         K[d == 0] *= 0.5
-        at = tri[iu] + d
-        gain_w[at] = K                # the death triangle
+        band = d < D
+        off = ~band
+        db, ib = d[band], iu[band]
+        cell = (at[iu] + ju)[off]
+        width = wide[p[iu[off]]]
+
+        def put(b, v):
+            band_rate[b, db, ib] = v[band]
+            gain_w[cell + b * width] = v[off]
+
+        put(0, K)                     # the death triangle
         K[~live] = 0.0                # the gain rate, under offgrid_loss too
         # F reads E(c_i, c_j), i <= j, as coalescence does
         E = eval_E(prob, x, y)
-        out, coag = streams(x, y, K, E)
-        T = N - r[p[iu]]
         if n_tri == 2:
-            gain_w[at + T] = (1.0 - E) * K
-        band = d < D
-        off = ~band
-        # gain block 0 of the pair (i, j), from column r_p + D of row i
-        cell = (at + n_tri * T - D)[off]
-        width = (T - D)[off]
+            put(1, (1.0 - E) * K)
         if hat:
-            gain_w[cell] = coag[off]
-        for (dest_k, w, live_k), sh, g in zip(out, shift, k):
+            put(n_tri, E * K)
+        out = streams(x, y, K, E)
+        for (dest_k, w, live_k), sh, g in zip(out, shift, range(S)):
             col = ju + sh[d]
             # every live stream must land where the band or the rule puts it
             lands = np.where(band, np.clip(col, 0, N - 1), col)
             if np.any(live_k & (dest_k != base[g] + lands)):
                 raise RuntimeError("a pair lands off the band and the blocks")
-            band_w[g // 2, g % 2, d[band], col[band] + pad - g % 2] = w[band]
-            if g >= 2:
-                gain_w[cell + (hat + g - 2) * width] = w[off]
-        del out, coag, dest_k, w, live_k  # before the next block's streams
+            if g >= 2:               # fragment stream g - 2
+                band_w[g // 2 - 1, g % 2, db, col[band] + pad - g % 2] = w[band]
+                gain_w[cell + (n_tri + hat + g - 2) * width] = w[off]
+        # a band pair's coalescence splits between its class's brackets,
+        # unless the class is a tie or its lower bracket is the top cell
+        split = live & ~single[d] & (ju + shift[0, d] < N - 1)
+        if np.any(band & (out[1][2] != split)):
+            raise RuntimeError("a band pair's coalescence leaves its class's "
+                               "brackets")
+        del out, dest_k, w, live_k    # before the next block's streams
     band_dest = (np.clip(np.arange(L) - pad + np.c_[0:2], 0, N - 1)
-                 + base[::2, None, None])
-    lump_src, lump_dest, lump_w = _frag_lumps(daughter, grid)
+                 + base[2::2, None, None])
+    lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, gain_w=gain_w,
-        panel_off=panel_off, parent_w=parent_w,
-        band_w=band_w, band_shift=band_shift, band_dest=band_dest,
-        lump_src=lump_src, lump_dest=lump_dest, lump_w=lump_w)
+        panel_off=panel_off, parent_w=parent_w, band_rate=band_rate,
+        band_class=band_class, band_w=band_w, band_shift=band_shift,
+        band_dest=band_dest, lump_dest=lump_dest, lump_w=lump_w)
 
 
 def _shares_death(prob: ProbSpec, offgrid_loss: bool) -> bool:
@@ -331,75 +370,135 @@ def _rates(tables: OperatorTables, density: np.ndarray):
     c = g.centers
     N = c.size
     number = density * g.widths
-    _, _, D, L = tables.band_w.shape
+    rate = tables.band_rate
+    D = rate.shape[1]
+    Q = len(tables.band_class) - 2
     shared = _shares_death(tables.prob, tables.offgrid_loss)
     n_tri = 1 + (tables.parent_w is not None and not shared)
+    hat = int(not shared)
     pairs = np.array([number, c * number])
-    # the death rate, F n; sum_i n_i Ê_ij and sum_i c_i n_i Ê_ij; the
-    # fragment gains at j - 1, j and top cell j
-    sums = np.zeros((7, N))
-    death, coag, frag = sums[0], sums[2:4], sums[4:]
-    first, off = tables.panel_off.tolist()
-    for r0, r1, o0, o1 in zip(first, first[1:], off, off[1:]):
-        panel = tables.gain_w[o0:o1].reshape(r1 - r0, -1)
-        # row 0 gives the triangles' upper sides and the fragment gains,
-        # both rows the sums of Ê off the panel's corner
-        Y = pairs[:, r0:r1] @ panel
-        T = N - r0
-        for b in range(n_tri):
-            sums[b, r0:] += Y[0, b * T:(b + 1) * T]
-            sums[b, r0:r1] += panel[:, b * T:(b + 1) * T] @ number[r0:]
+    # the death rate and F n; the fragment gains at j - 1, j and top cell j
+    sums = np.zeros((5, N))
+    frag = sums[2:]
+    # sum_i n_i Ê_ij and sum_i c_i n_i Ê_ij off the band
+    coag = np.zeros((2, N))
+    rows, off = tables.panel_off.tolist()
+    for r0, r1, o0, o1 in zip(rows, rows[1:], off, off[1:]):
         W = N - D - r0
         if W <= 0:
-            continue
-        # Ê from column r0 + D: the death triangle's columns, or its own
-        h0 = D if shared else n_tri * T
-        # in its first B - 1 columns the panel's rows below the first
-        # reach back onto the band's diagonals: the m by m corner holds
-        # every pair of them off the band
-        m = min(r1 - r0 - 1, W)
+            break
+        panel = tables.gain_w[o0:o1].reshape(r1 - r0, -1)
+        # row 0 gives the triangles' upper sides and the fragment gains,
+        # both rows the sums of Ê
+        Y = pairs[:, r0:r1] @ panel
+        for b in range(n_tri):
+            sums[b, r0 + D:] += Y[0, b * W:(b + 1) * W]
+            sums[b, r0:r1] += panel[:, b * W:(b + 1) * W] @ number[r0 + D:]
+        # Ê: the death triangle's columns, or its own
+        h0 = 0 if shared else n_tri * W
+        # adding into a view skips the copy back of ``a[:, i:] += ...``
         cols = coag[:, r0 + D:]
-        cols[:, :m] += pairs[:, r0:r0 + m] @ np.triu(panel[:m, h0:h0 + m])
-        cols[:, m:] += Y[:, h0 + m:h0 + W]
+        cols += Y[:, h0:h0 + W]
         if tables.parent_w is None:
-            # adding into a view skips the copy back of ``a[:, i:] += ...``
             gains = frag[:, r0 + D:]
-            gains += Y[0, T + (0 if shared else W):].reshape(3, W)
-    if shared:
-        coag *= tables.prob.params["value"]
+            gains += Y[0, (n_tri + hat) * W:].reshape(3, W)
+    # numbers lumped by cell l (N + l: on l alone), and their heights
+    # (c_i + c_j - c_l) over the lower bracket
+    lumps = np.zeros((2, 2 * N))
+    scale = number * tables.prob.params["value"] if shared else number
+
+    def deposit(part, cells):
+        """Lump the classes' sums A = sum_i n_i Ê_ij and B = sum_i c_i n_i
+        Ê_ij of larger partner j (2, classes, N) on their cells (classes,
+        N): n_j A, and the height n_j ((c_j - c_l) A + B)."""
+        part *= scale
+        A, B = part.reshape(2, -1)
+        rise = c.take(cells, mode="wrap")
+        np.subtract(c, rise, out=rise)
+        rise = rise.ravel()
+        rise *= A
+        rise += B
+        lumps[0] += np.bincount(cells.ravel(), A, 2 * N)
+        lumps[1] += np.bincount(cells.ravel(), rise, 2 * N)
+
+    if not D:                                # class Q = 0 alone
+        deposit(coag[:, None], tables.band_class[:1])
+    else:
+        # the smaller partner i reads row d of band_rate at i against
+        # n_{i + d}; the larger j reads it at j - d, through a view of
+        # row stride N whose entries j < d are the zeros past the grid
+        cls = tables.band_class[-1]
+        apart = np.zeros((2, D + N + D))     # (n, c n), D zeros each side
+        apart[:, D:D + N] = pairs
+        ahead = np.ndarray((D, N), buffer=apart, offset=8 * D,
+                           strides=(8, 8))
+        behind = np.ndarray((2, D, N), buffer=apart, offset=8 * D,
+                            strides=(apart.strides[0], -8, 8))
+        larger = np.ndarray((len(rate), D, N), buffer=rate,
+                            strides=(rate.strides[0], 8 * N, 8))
+        hat_rows = larger[n_tri if hat else 0]
+        # member[q, d]: diagonal d is in class q; no diagonal in class Q
+        member = (cls[:D] == np.arange(Q + 1)[:, None]).astype(float)
+        prod = np.empty((min(D, _BAND_DIAGONALS), N))
+        for d0 in range(0, D, _BAND_DIAGONALS):
+            d1 = min(d0 + _BAND_DIAGONALS, D)
+            for b in range(n_tri):
+                sums[b] += np.vecdot(rate[b, d0:d1, :N], ahead[d0:d1],
+                                     axis=0)
+                if b or hat:
+                    sums[b] += np.vecdot(larger[b, d0:d1], behind[0, d0:d1],
+                                         axis=0)
+            # the sums of the chunk's classes, a class's part of them; the
+            # last chunk's take the pairs off the band, class Q, along
+            q0, q1 = cls[d0], cls[d1 - 1] + 1 if d1 < D else Q + 1
+            part = np.empty((2, q1 - q0, N))
+            for k in range(2):
+                np.multiply(hat_rows[d0:d1], behind[k, d0:d1],
+                            out=prod[:d1 - d0])
+                np.matmul(member[q0:q1, d0:d1], prod[:d1 - d0], out=part[k])
+            if not hat:
+                sums[0] += part[0].sum(axis=0)
+            if d1 == D:
+                part[:, -1] += coag
+            deposit(part, tables.band_class[q0:q1])
     sums[2:] *= number
-    # the bracket rule off the band: c_i / (c_{j+1} - c_j) of the pair's
-    # number moves up to j + 1; in the top cell s / c_{N-1} stays there
-    up = coag[1, :-1] / (c[1:] - c[:-1])
-    coag[0, -1] += coag[1, -1] / c[-1]
     if tables.parent_w is not None:
         # n_j times (F n)_j breaks parent j, or the death rate K n with
         # the constant 1 - E in parent_w
         frag = tables.parent_w * (number * sums[n_tri - 1])
-    # column m of diagonal d in bracket pair g is the pair (m - shift - d,
-    # m - shift): one gather per chunk of diagonals reads both rows off
-    # the zero-padded numbers
-    padded = np.concatenate((np.zeros(L + D), number, np.zeros(L + D)))
-    window = as_strided(padded, (padded.size - L + 1, L), padded.strides * 2)
-    cols = np.zeros(tables.band_dest.shape)
-    for d0 in range(0, D, _BAND_DIAGONALS):
-        d1 = min(d0 + _BAND_DIAGONALS, D)
-        rows = (L + D - tables.band_shift[:, d0:d1]
-                - _PARTNER * np.arange(d0, d1))
-        cols += np.einsum("gbdm,gdm,gdm->gbm", tables.band_w[:, :, d0:d1],
-                          *window[rows])
-    out = np.bincount(tables.band_dest.ravel(), cols.ravel(), 2 * N + 1)
-    gain = out[:N] + coag[0] + frag[1]
-    gain[:-1] -= up
+    # a lump at l of height h and number n: n - h / (c_{l+1} - c_l) there
+    # and h / (c_{l+1} - c_l) at l + 1, or all of it on l alone, as
+    # (n c_l + h) / c_l
+    num, rise = lumps
+    up = rise[:N - 1] / (c[1:] - c[:-1])
+    gain = num[:N] + num[N:] + rise[N:] / c + frag[1]
+    gain[:-1] += frag[0, 1:] - up
     gain[1:] += up
-    gain[:-1] += frag[0, 1:]
-    top = out[N:]
-    top[:-1] += frag[2]
+    top = np.zeros(N + 1)
+    top[:-1] = frag[2]
+    if len(tables.band_w):
+        # fragment pairs on the band: column m of diagonal d in bracket
+        # pair g is the pair (m - shift - d, m - shift); one gather per
+        # chunk of diagonals reads both rows off the zero-padded numbers
+        L = tables.band_w.shape[3]
+        padded = np.concatenate((np.zeros(L + D), number, np.zeros(L + D)))
+        window = np.ndarray((padded.size - L + 1, L), buffer=padded,
+                            strides=(8, 8))
+        cols = np.zeros(tables.band_dest.shape)
+        for d0 in range(0, D, _BAND_DIAGONALS):
+            d1 = min(d0 + _BAND_DIAGONALS, D)
+            at = (L + D - tables.band_shift[:, d0:d1]
+                  - _PARTNER * np.arange(d0, d1))
+            cols += np.einsum("gbdm,gdm,gdm->gbm",
+                              tables.band_w[:, :, d0:d1], *window[at])
+        out = np.bincount(tables.band_dest.ravel(), cols.ravel(), 2 * N + 1)
+        gain += out[:N]
+        top += out[N:]
     # top cell t receives the lump and every complete cell below t
     above = np.cumsum(top[::-1])[::-1]
     gain += np.bincount(tables.lump_dest,
-                        tables.lump_w * above[tables.lump_src], N)
-    return gain / g.widths - density * death, death
+                        tables.lump_w * np.concatenate((above, above[1:])), N)
+    return gain / g.widths - density * sums[0], sums[0]
 
 
 def _rhs(tables: OperatorTables, density: np.ndarray) -> np.ndarray:
@@ -481,7 +580,7 @@ _DP_P = np.array([
 _CLIP_LIMIT = 1e-15
 _DT_MIN = 1e-12                      # step-size underflow guard, per horizon
 _MAX_RHS_CALLS = 40_000              # work bound of one integration
-_PAIR_BLOCK = 2 ** 13                # upper-triangle pairs per build block
+_PAIR_BLOCK = 2 ** 12                # upper-triangle pairs per build block
 _PANEL_ROWS = 128                    # pair triangle rows per panel
 _BAND_DIAGONALS = 32                 # band diagonals per gather
 _TIE_ULPS = 1024                     # a lump this close to a center sits on it

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import breakcoag as bc
+from breakcoag import kernels
 from breakcoag.errors import ConfigError, DomainError
 from test_solver import dense_panels
 
@@ -41,6 +42,26 @@ class TestEvalKernel:
                      bc.KernelSpec.additive(),
                      bc.KernelSpec.product()):
             assert bc.eval_kernel(spec, x, y) == bc.eval_kernel(spec, y, x)
+
+    def test_analytic_families_symmetric_bit_for_bit(self):
+        # build_tables checks K(x, y) = K(y, x) only for a table kernel:
+        # every analytic family must be symmetric in floating point, as
+        # its + and * commute.  A new family fails here until it is listed
+        rng = np.random.default_rng(7)
+        x, y = 10.0 ** rng.uniform(-6.0, 6.0, (2, 10_000))
+        specs = [bc.KernelSpec.smoluchowski(), bc.KernelSpec.product(),
+                 bc.KernelSpec.additive(), bc.KernelSpec.constant(2.5),
+                 bc.KernelSpec.sum_product(0.0, 1.0),
+                 bc.KernelSpec.sum_product(-0.25, 0.5),
+                 bc.KernelSpec.sum_product(-0.4, 0.9),
+                 bc.KernelSpec.bg_ratio(0.0, 0.0),
+                 bc.KernelSpec.bg_ratio(0.5, 1.0),
+                 bc.KernelSpec.bg_ratio(0.9, 1.4)]
+        assert {s.family for s in specs} == kernels._FAMILIES - {"table"}
+        for spec in specs:
+            K = bc.eval_kernel(spec, x, y)
+            assert np.all(np.isfinite(K)), spec
+            assert np.array_equal(K, bc.eval_kernel(spec, y, x)), spec
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):

@@ -95,12 +95,16 @@ def probs(draw, x_max, coalescence_only=False):
 @st.composite
 def scenarios(draw, coalescence_only=False, offgrid_loss=None):
     """(tables, density) for one random scenario.  Some grids double every
-    q cells (q <= 4): there 2 c_i falls on a cell centre up to rounding,
+    q cells (q <= 5 or q = 8), others grow by the golden ratio per cell:
+    there 2 c_i, or c_i + c_{i+1}, falls on a cell centre up to rounding,
     and the tie rule puts it on that centre."""
     n = draw(st.integers(1, 40))
-    x_max = draw(st.sampled_from([10.0, 1e2, 1e3, None]))
-    if x_max is None:
-        x_max = X_MIN * 2.0 ** (n / draw(st.integers(-(-n // 20), 4)))
+    x_max = draw(st.sampled_from([10.0, 1e2, 1e3, None, "golden"]))
+    if x_max == "golden":
+        x_max = X_MIN * ((1.0 + 5.0 ** 0.5) / 2.0) ** n
+    elif x_max is None:
+        q = draw(st.integers(-(-n // 20), 5) | st.just(8))
+        x_max = X_MIN * 2.0 ** (n / q)
     kernel = draw(kernels(x_max))
     daughter = draw(daughters)
     assume(not (daughter.per_parent and kernel.declared_alpha > 0.0))
@@ -164,18 +168,24 @@ def test_blocks_and_band_carry_each_pair_once(case):
     g = tables.grid
     c = g.centers
     N = g.cell_count
-    D = tables.band_w.shape[2]
+    D = tables.band_rate.shape[1]
     death, hat, blocks, F = dense_panels(tables)
-    # the panels hold no gain of the band's diagonals j - i < D
+    # the panels hold no fragment gain of the band's diagonals j - i < D,
+    # and the band's brackets are the fragments' only: the partial cell
+    # and the top cell under a pair law, none per parent
     i, j = np.indices((N, N))
-    assert not hat[j - i < D].any() and not blocks[:, j - i < D].any()
+    band = j - i < D
+    assert not blocks[:, band].any()
+    assert len(tables.band_w) == (2 if tables.parent_w is None else 0)
     # (weights, offset): column j of the weights deposits at j + offset.
-    # Ê by the bracket rule: c_i / (c_{j+1} - c_j) of a pair's number
-    # moves up to j + 1, and the top cell keeps s / c_{N-1} of it.  The
-    # share left at j is formed as the reference forms it, 1 - up: where
-    # up is near 1, hat - hat up differs from it by far more than an ulp
+    # Off the band, Ê by the bracket rule: c_i / (c_{j+1} - c_j) of a
+    # pair's number moves up to j + 1, and the top cell keeps s / c_{N-1}
+    # of it.  The share left at j is formed as the reference forms it,
+    # 1 - up: where up is near 1, hat - hat up differs from it by far
+    # more than an ulp
     up = c[:, None] / np.append(np.diff(c), -c[-1])
-    placed = [(hat * (1.0 - up), 0), (np.where(j < N - 1, hat * up, 0.0), 1)]
+    rest = np.where(band, 0.0, hat)
+    placed = [(rest * (1.0 - up), 0), (np.where(j < N - 1, rest * up, 0.0), 1)]
     if tables.parent_w is None:
         assert F is None
         placed += zip(blocks, (-1, 0, N))
@@ -195,8 +205,22 @@ def test_blocks_and_band_carry_each_pair_once(case):
                 got[:, j, j + offset] += weights[:, j]
             else:
                 assert not weights[:, j].any()
-    # column m of diagonal d in bracket pair g is the pair (j - d, j),
-    # j = m - shift
+    # on the band, the pair (i, j) coalesces by its class's row of
+    # band_class: at the cell l there, and U = (c_j - c_l + c_i) /
+    # (c_{l+1} - c_l) of it at l + 1, or at l alone with s / c_l where
+    # the row says N + l
+    i, j = np.nonzero(np.triu(band))
+    cell = tables.band_class[tables.band_class[-1, j - i], j]
+    one = cell >= N
+    low = cell % N
+    high = np.minimum(low + 1, N - 1)
+    w2 = np.where(one, 0.0, ((c[j] - c[low]) + c[i])
+                  / np.where(one, 1.0, c[high] - c[low]))
+    w1 = np.where(one, (c[j] + c[i]) / c[low], 1.0 - w2)
+    np.add.at(got, (i, j, low), hat[i, j] * w1)
+    np.add.at(got, (i, j, high), hat[i, j] * w2)
+    # column m of diagonal d in fragment bracket pair g is the pair
+    # (j - d, j), j = m - shift
     g, b, d, m = tables.band_w.nonzero()
     j = m - tables.band_shift[g, d]
     assert np.all((d <= j) & (j < N))
@@ -258,7 +282,7 @@ def test_no_fragment_gain_when_E_is_one(case):
         assert not tables.parent_w.any()       # the weights carry 1 - E
     else:
         assert not F.any()                     # the breakage rate F
-    assert not tables.band_w[1:].any()       # the fragment bracket pairs
+    assert not tables.band_w.any()           # the fragment bracket pairs
 
 
 phis = (st.sampled_from([("power", 0.0), ("power", 1.0)])

@@ -91,43 +91,54 @@ def dense_fragments(tables):
 
 
 def dense_panels(tables):
-    """The row panels read back as dense (N, N) arrays: the death kernel,
+    """The pair tables read back as dense (N, N) arrays: the death kernel,
     the stored upper triangle mirrored with its halved diagonal doubled
-    back; Ê, the coalescence rate of each pair j - i >= D (E times the
-    death triangle where no table of its own is stored); the fragment
-    gain blocks (n, N, N), entry [b, i, j] the weight of the pair (i, j)
-    in block b, zero on the band's diagonals and wherever no panel
-    reaches; and F, the per-parent breakage rate (1 - E) K mirrored as
-    the death kernel is (None where 1 - E rides in ``parent_w``)."""
+    back; Ê, the coalescence rate of each pair i <= j (E times the death
+    triangle where no table of its own is stored); the fragment gain
+    blocks (n, N, N), entry [b, i, j] the weight of the pair (i, j) in
+    block b, zero on the band's diagonals; and F, the per-parent breakage
+    rate (1 - E) K mirrored as the death kernel is (None where 1 - E rides
+    in ``parent_w``).  The row panels hold the pairs j - i >= D, each block
+    of panel p one width N - D - r_p from column r_p + D, and ``band_rate``
+    the pairs j - i < D; the reader asserts that layout, a zero corner in
+    every panel and no rate past the grid in the band."""
     N = tables.grid.cell_count
-    D = tables.band_w.shape[2]
+    rate = tables.band_rate
+    D = rate.shape[1]
     rows, off = tables.panel_off
     assert rows[0] == 0 and rows[-1] == N and off[-1] == tables.gain_w.size
     shared = solver._shares_death(tables.prob, tables.offgrid_loss)
-    tris = np.zeros((1 + (tables.parent_w is not None and not shared), N, N))
-    blocks = np.zeros((int(not shared) + 3 * (tables.parent_w is None),
-                       N, N))
+    n_tri = 1 + (tables.parent_w is not None and not shared)
+    n_rate = n_tri + (not shared)
+    n_blk = n_rate + 3 * (tables.parent_w is None)
+    assert len(rate) == n_rate
+    tabs = np.zeros((n_blk, N, N))
     for r0, r1, o0, o1 in zip(rows, rows[1:], off, off[1:]):
-        panel = tables.gain_w[o0:o1].reshape(r1 - r0, -1)
-        h = len(tris) * (N - r0)
-        tris[:, r0:r1, r0:] = panel[:, :h].reshape(
-            r1 - r0, len(tris), N - r0).transpose(1, 0, 2)
-        blocks[:, r0:r1, r0 + D:] = panel[:, h:].reshape(
-            r1 - r0, len(blocks), max(N - D - r0, 0)).transpose(1, 0, 2)
+        W = max(N - D - r0, 0)
+        assert o1 - o0 == (r1 - r0) * n_blk * W
+        tabs[:, r0:r1, r0 + D:] = tables.gain_w[o0:o1].reshape(
+            r1 - r0, n_blk, W).transpose(1, 0, 2)
     i, j = np.indices((N, N))
+    assert not tabs[:, j - i < D].any()
+    # band_rate[b, d, k] is the pair (k, k + d), zero past the grid
+    d, k = np.indices((D, N + 1))
+    assert not rate[:, d + k >= N].any()
+    inside = d + k < N
+    tabs[:n_rate, k[inside], (d + k)[inside]] = rate[:, inside]
+    tris = tabs[:n_tri]
     assert not tris[:, i > j].any()
     full = tris + tris.transpose(0, 2, 1)
-    F = full[1] if len(full) > 1 else None
-    if not shared:
-        return full[0], blocks[0], blocks[1:], F
-    hat = np.where(j - i >= D, tables.prob.params["value"] * tris[0], 0.0)
-    return full[0], hat, blocks, F
+    F = full[1] if n_tri > 1 else None
+    hat = tables.prob.params["value"] * tabs[0] if shared else tabs[n_tri]
+    return full[0], hat, tabs[n_rate:], F
 
 
 def _reference_rhs(tables, density):
     """Slow evaluation straight from the dense kernels, per-pair and
-    fragment tables; the production path uses the row panels, the band
-    and the suffix sum and must agree."""
+    fragment tables: every pair's coalescence, on the band as off it, is
+    its ``_remap_points`` split of c_i + c_j times E K, independent of the
+    class sums of ``_rates``.  The production path uses the row panels, the
+    band and the suffix sum and must agree."""
     g = tables.grid
     N = g.cell_count
     d = dense_deposits(tables)
@@ -342,31 +353,40 @@ class TestBuildTables:
     def test_gain_panels_hold_the_pair_triangle(self):
         # the linear workload's operator: the death triangle and three
         # fragment blocks of the pairs j - i >= D, and no coalescence
-        # block, as Ê is E times the death triangle
+        # block, as Ê is E times the death triangle; the band holds the
+        # death rate of the pairs j - i < D, and only fragment brackets
         N = 300
         t = _tables(bc.make_grid(1e-4, 1e3, N))
-        D, B = t.band_w.shape[2], solver._PANEL_ROWS
+        D, B = t.band_rate.shape[1], solver._PANEL_ROWS
         rows = np.append(np.arange(0, N, B), N)
-        # each panel's rows from its first row's diagonal on, zero corner
-        # included
-        cells = np.diff(rows) * (N - rows[:-1]
-                                 + 3 * np.maximum(N - D - rows[:-1], 0))
+        # four blocks of one width per panel, from its first row's
+        # diagonal D on, zero corner included
+        cells = np.diff(rows) * 4 * np.maximum(N - D - rows[:-1], 0)
         assert t.gain_w.size == cells.sum()
         assert np.array_equal(t.panel_off, [rows, np.append(0, np.cumsum(
             cells))])
+        assert t.band_rate.shape == (1, D, N + 1)
+        assert t.band_w.shape[:3] == (2, 2, D)
 
     def test_fine_grid_operator_holds_the_kernel_once(self):
         # the fine-grid workload's operator: per-parent, constant E, so the
-        # death triangle is its only pair table beside the band
+        # death rate is its only pair table, in the panels and the band,
+        # and the band holds no fragment brackets
         N = 800
         t = _tables(bc.make_grid(1e-4, 1e3, N),
                     daughter=bc.DaughterSpec.power_each(0.0))
-        B = solver._PANEL_ROWS
+        B, D = solver._PANEL_ROWS, t.band_rate.shape[1]
         panels = -(-N // B)
-        # the pairs i <= j, plus the zero corner of each panel
-        tri = N * (N + 1) // 2 + panels * B * (B - 1) // 2
+        # the pairs j - i >= D, plus the zero corner of each panel; the
+        # band's D diagonals of N + 1
+        tri = (N - D) * (N - D + 1) // 2 + panels * B * (B - 1) // 2
         assert t.gain_w.size <= tri
-        assert _held_bytes(t) <= 8 * (tri + 16 * N) + t.band_w.nbytes
+        assert t.band_rate.shape == (1, D, N + 1) and t.band_w.size == 0
+        assert (_held_bytes(t) <= 8 * (tri + D * (N + 1) + 16 * N)
+                + t.band_class.nbytes)
+        # the band classes' table: one row per class and off the band,
+        # one for the class of each diagonal
+        assert t.band_class.shape[1] == N and len(t.band_class) - 2 <= D
 
     def test_per_parent_breakage_is_a_second_triangle(self):
         # the fine-grid operator under a floor E: per-parent breakage's F
@@ -376,17 +396,18 @@ class TestBuildTables:
         t = _tables(bc.make_grid(1e-4, 1e3, N),
                     daughter=bc.DaughterSpec.power_each(0.0),
                     prob=bc.ProbSpec.small_volume_floor(0.6, 0.2))
-        B, D = solver._PANEL_ROWS, t.band_w.shape[2]
+        B, D = solver._PANEL_ROWS, t.band_rate.shape[1]
         rows = np.append(np.arange(0, N, B), N)
-        tri = N * (N + 1) // 2 + (len(rows) - 1) * B * (B - 1) // 2
-        hat = np.diff(rows) @ np.maximum(N - D - rows[:-1], 0)
-        assert t.gain_w.size <= 2 * tri + hat
-        assert (_held_bytes(t)
-                <= 8 * (2 * tri + hat + 16 * N) + t.band_w.nbytes)
+        # K, F and Ê of the pairs j - i >= D, each one width per panel
+        cells = 3 * np.diff(rows) @ np.maximum(N - D - rows[:-1], 0)
+        assert t.gain_w.size == cells
+        assert t.band_rate.shape == (3, D, N + 1) and t.band_w.size == 0
+        assert (_held_bytes(t) <= 8 * (cells + 3 * D * (N + 1) + 16 * N)
+                + t.band_class.nbytes)
 
     def test_each_pair_reads_E_once(self, monkeypatch):
-        # the same operator: the build reads E once per pair i <= j, and K
-        # twice, K(x, y) and K(y, x) for the symmetry check
+        # the same operator: the build reads E and K once per pair i <= j;
+        # an analytic kernel skips the symmetry check
         N = 800
         points = {"E": 0, "K": 0}
 
@@ -403,7 +424,7 @@ class TestBuildTables:
                 daughter=bc.DaughterSpec.power_each(0.0),
                 prob=bc.ProbSpec.small_volume_floor(0.6, 0.2))
         assert points["E"] <= N * (N + 1) // 2 + N
-        assert points["K"] <= 1.05 * N * (N + 1)
+        assert points["K"] <= N * (N + 1) // 2
 
     @pytest.mark.parametrize("grid, daughter, rate", [
         ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39), 1.0),
@@ -428,10 +449,10 @@ class TestBuildTables:
             # column m of the partial-cell bracket pair holds the pair
             # (0, 0) at m = shift, (1, 1) at m = shift + 1
             assert t.band_w.shape[2] >= 1
-            m = t.band_shift[1, 0]
-            assert t.band_w[1, 0, 0, m] > 0
-            assert np.all(t.band_dest[1, :, m] == 0)
-            assert t.band_dest[1, 0, m + 1] == 0
+            m = t.band_shift[0, 0]
+            assert t.band_w[0, 0, 0, m] > 0
+            assert np.all(t.band_dest[0, :, m] == 0)
+            assert t.band_dest[0, 0, m + 1] == 0
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     @pytest.mark.parametrize("grid, kw, rate", [
@@ -464,12 +485,11 @@ class TestBuildTables:
         monkeypatch.setattr(solver, "_PANEL_ROWS", rows or N)
         monkeypatch.setattr(solver, "_BAND_DIAGONALS", rows or N)
         t = _tables(g, **kw)
-        D = t.band_w.shape[2]
+        D = t.band_rate.shape[1]
         first = t.panel_off[0]
         assert first.size - 1 == -(-N // (rows or N))
         if grid[1] == 8e-3:
-            assert D == N
-            assert t.gain_w.size == np.diff(first) @ (N - first[:-1])
+            assert D == N and t.gain_w.size == 0
         density = bc.sample_initial(bc.InitialCondition.exponential(rate),
                                     g).density
         ref = _reference_rhs(t, density)
@@ -504,7 +524,7 @@ class TestBuildTables:
                             g, bc.KernelSpec.sum_product(0.0, 1.0), n_trunc,
                             daughter, bc.ProbSpec.constant(0.5))
                         # a padded band sends its first two columns to cell 0
-                        clamps += (t.band_w.shape[2] > 0
+                        clamps += (t.band_w.size > 0
                                    and t.band_dest[0, 0, 1] == 0)
         assert clamps > 0
 
@@ -531,6 +551,43 @@ class TestBuildTables:
             mass = g.centers * g.widths
             assert abs(mass @ rate) <= 1e-14 * (mass @ terms)
 
+    @pytest.mark.parametrize("daughter", [
+        bc.DaughterSpec.power_total(0.0), bc.DaughterSpec.power_total(-0.5),
+        bc.DaughterSpec.uniform(), bc.DaughterSpec.power_each(0.0)],
+        ids=["nu=0", "nu=-0.5", "uniform", "power_each"])
+    @pytest.mark.parametrize("ratio", [2.0 ** (1.0 / k) for k in
+                                       (1, 2, 3, 4, 5, 8)]
+                             + [(1.0 + 5.0 ** 0.5) / 2.0],
+                             ids=[f"2^(1/{k})" for k in (1, 2, 3, 4, 5, 8)]
+                             + ["golden"])
+    def test_coalescence_tie_grids(self, ratio, daughter):
+        # cell ratio 2^(1/k): 2 c_i = c_{i+k}; golden ratio: c_i + c_{i+1}
+        # = c_{i+2}.  Up to rounding a band pair's sum lands on a centre,
+        # and its class deposits on that cell alone
+        rng = np.random.default_rng(27)
+        ties = 0
+        for x0, n in itertools.product((1e-3, 0.37), (3, 12, 40)):
+            g = bc.make_grid(x0, x0 * ratio ** n, n)
+            for prob, n_trunc in ((bc.ProbSpec.constant(0.4), g.x_max),
+                                  (bc.ProbSpec.small_volume_floor(
+                                      0.7, 0.2, x0 * ratio ** (n / 2)),
+                                   0.7 * g.x_max)):
+                t = bc.build_tables(g, bc.KernelSpec.sum_product(0.0, 1.0),
+                                    n_trunc, daughter, prob)
+                # a class on one cell from j = 0 on, below the top cell
+                first = t.band_class[:-2, 0]
+                ties += np.any((first >= n) & (first < 2 * n - 1))
+                density = rng.random(n)
+                rate = _rhs(t, density)
+                ref = _reference_rhs(t, density)
+                death = density * (dense_panels(t)[0]
+                                   @ (density * g.widths))
+                terms = np.abs(ref + death) + death
+                assert np.all(np.abs(rate - ref) <= 1e-12 * terms)
+                mass = g.centers * g.widths
+                assert abs(mass @ rate) <= 1e-14 * (mass @ terms)
+        assert ties > 0
+
     @pytest.mark.parametrize("N, kernel, daughter, prob", [
         (120, bc.KernelSpec.sum_product(-0.25, 0.5),
          bc.DaughterSpec.power_total(0.0),
@@ -544,7 +601,7 @@ class TestBuildTables:
                                                      daughter, prob):
         t = _tables(bc.make_grid(1e-4, 1e3, N), kernel=kernel,
                     daughter=daughter, prob=prob)
-        assert t.band_w.any()
+        assert t.band_rate.any()
 
     @pytest.mark.parametrize("grid, daughter", [
         ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39)),
@@ -556,7 +613,8 @@ class TestBuildTables:
         layouts = []
         for E in (0.0, 0.5, 1.0):
             t = _tables(g, daughter=daughter, prob=bc.ProbSpec.constant(E))
-            layouts.append((t.band_w.shape, t.band_shift, t.band_dest))
+            layouts.append((t.band_rate.shape, t.band_class, t.band_w.shape,
+                            t.band_shift, t.band_dest))
         for layout in layouts[1:]:
             for a, b in zip(layouts[0], layout):
                 assert np.array_equal(a, b)
