@@ -37,32 +37,34 @@ Design notes
   sigma, and class q sums A = sum_i n_i Ê_ij and B = sum_i c_i n_i Ê_ij,
   then deposits U = ((c_j - c_l) A + B) / (c_{l+1} - c_l) at l + 1 and
   A - U at l, or (B + c_j A) / c_l at l alone where it ties on a centre
-  or l is the top cell; ``band_class`` holds each class's cell per j and
-  each diagonal's class.  Under a constant E without ``offgrid_loss`` Ê
+  or l is the top cell.  Under a constant E without ``offgrid_loss`` Ê
   is E times the death rate; otherwise it is a table of its own.  The
-  pair laws add three fragment blocks: the partial cell's brackets at
-  j - 1 and j, and the top cell j.  On the band they land at a shift of j
-  set by d alone (clamped at both grid ends): ``band_w`` holds them by
-  destination, applied by a gather and ``einsum`` per chunk of
-  ``_BAND_DIAGONALS`` diagonals, then one ``bincount``.  D, the shifts
-  and the classes depend on the grid, daughter and ``n_trunc`` only.
-  Ties at a center sit on it, a size on an edge keeps the cell below as
-  its top cell, and bracket pairs clamped onto cell 0 take a padded
-  column, so every pair is in the panels or the band (else the build
-  raises).  The top-cell stream deposits every complete cell below the
-  top: a suffix sum over the cells, applied to the O(N) per-lump table
-  ``lump_*``.  Under ``power_each`` both partners of a pair break at the
-  rate F = (1 - E) K, E read at (c_i, c_j), i <= j, as coalescence reads
-  it, so mass is kept for any E.  Parent j breaks like a pair of total
-  size c_j (top cell j, partial cell [e_j, c_j] at j - 1 and j), spread
-  by the (3, N) ``parent_w`` from (F n)_j: F is a second table, or the
-  death rate if it is capped and E constant (1 - E then rides in
+  pair laws add three tables, the fragment weights of the partial cell's
+  brackets and of the top cell, landing at j - 1, j and the top cell j
+  off the band and at one shift of j per diagonal and stream on it
+  (clipped at both grid ends), in fragment classes; ``band_class`` holds
+  each class's cells per j and each diagonal's classes.  Per chunk of
+  ``_BAND_DIAGONALS`` diagonals a product forms n_i Ê and n_i times the
+  fragment weights, and GEMMs with the 0/1 class membership sum them.
+  D, the shifts and the classes depend on the grid, daughter and
+  ``n_trunc`` only.  Ties at a center sit on it, a size on an edge keeps
+  the cell below as its top cell, and a partial cell whose brackets both
+  clamp onto cell 0 puts its class's lower bracket a cell below, so
+  every pair is in the panels or the band (else the build raises).  The
+  top-cell stream deposits every complete cell below the top: a suffix
+  sum over the cells, applied to the O(N) per-lump table ``lump_*``.
+  Under ``power_each`` both partners of a pair break at the rate
+  F = (1 - E) K, E read at (c_i, c_j), i <= j, as coalescence reads it,
+  so mass is kept for any E.  Parent j breaks like a pair of total size
+  c_j (top cell j, partial cell [e_j, c_j] at j - 1 and j), spread by the
+  (3, N) ``parent_w`` from (F n)_j: F is a second table, or the death
+  rate if it is capped and E constant (1 - E then rides in
   ``parent_w``).  K and E enter only through these weights, and the
   weak-form residual reads its rates through the same ``_rates``.
 * ``build_tables`` walks the pairs i <= j once, in row blocks of at most
   ``_PAIR_BLOCK`` pairs, reading E and K once per pair (a table kernel
   K(y, x) too, for the symmetry check), and filling every table in place:
-  its peak memory is 1.10-1.12 times the table bytes at N = 800 (1.32 for
+  its peak memory is 1.11-1.12 times the table bytes at N = 800 (1.32 for
   the smallest, ``power_each`` at constant E), and the block size changes
   no bit of the tables.
 """
@@ -129,17 +131,12 @@ class OperatorTables:
     prob: ProbSpec
     n_trunc: float
     offgrid_loss: bool
-    gain_w: np.ndarray                 # row panels: death triangle; F (per
-                                       # parent) and Ê unless shared; three
-                                       # fragment blocks unless per-parent
+    gain_w: np.ndarray                 # row panels of the tables of _rows
     panel_off: np.ndarray              # (2, P + 1) first row, flat start
     parent_w: np.ndarray | None        # per-parent (3, N): cells j - 1, j, top j
     band_rate: np.ndarray              # (B, D, N + 1) [b, d, i]: pair (i, i + d)
-    band_class: np.ndarray             # (Q + 2, N) cell per class, larger
-                                       # partner; class per diagonal
-    band_w: np.ndarray                 # (G, 2, D, N + span) fragment brackets
-    band_shift: np.ndarray             # (G, D) lower bracket + pad - j
-    band_dest: np.ndarray              # (G, 2, N + span) clamped at both ends
+    band_class: np.ndarray             # cells per class and j; the class of
+                                       # each diagonal (see build_tables)
     lump_dest: np.ndarray              # (2N+1,) the sub-grid lump, then each
                                        # cell's bracketing centers
     lump_w: np.ndarray                 # (2N+1,) numbers per unit scale
@@ -195,7 +192,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
             "simulation requires a finite fragment count (daughter exponent > -1)")
     c = grid.centers
     N = c.size
-    shared = _shares_death(prob, offgrid_loss)
+    n_tri, hat, frag0, n_blk = _rows(prob, offgrid_loss, daughter.per_parent)
 
     parent_w = None
     if daughter.per_parent:
@@ -203,7 +200,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         _, _, pw1, pw2 = _frag_lump(daughter.nu, c, grid.edges[:-1], c)
         pw2[0], pw1[0] = pw1[0] + pw2[0], 0.0     # parent 0: cell 0 alone
         parent_w = np.array([pw1, pw2, np.ones(N)]) * c ** (-(daughter.nu + 1.0))
-        if shared:
+        if not hat:                           # 1 - E rides in the weights
             parent_w *= 1.0 - prob.params["value"]
 
     def streams(x, y, rate, E):
@@ -225,56 +222,54 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         return out
 
     # streams: coalescence and partial-cell brackets (lower, upper), top
-    # cell; off the band stream k deposits at base + j + offset, in the
-    # band at base + clip(j + shift + k % 2, 0, N - 1)
+    # cell; off the band stream k deposits at base + j + offset
     S = 2 if daughter.per_parent else 5
     base = np.array([0, 0, 0, 0, N])[:S]
     offset = np.array([0, 1, -1, 0, 0])[:S]
-    # the shift of bracket pair k // 2 on diagonal d is read off the lower
-    # bracket of the pair (0, d); the band holds the diagonals below the
-    # last one where that pair breaks the rule (its weights go unread)
+    # the shift of each stream on diagonal d is read off the pair (0, d);
+    # the band holds the diagonals below the last one where that pair
+    # breaks the rule (its weights go unread)
     dest, _, live = map(np.array, zip(*streams(c[0], c, 1.0, 1.0)))
     shift = dest - base[:, None] - np.arange(N)
     off = np.any(live & (shift != offset[:, None]), axis=0)
     D = np.max(off.nonzero()[0] + 1, initial=0)
+
+    def classes(*keys):
+        """Classes as runs of one key: each diagonal's (past D, the class
+        count) and each class's first diagonal."""
+        keys = np.array(keys)[:, :D]
+        new = np.r_[True, np.any(keys[:, 1:] != keys[:, :-1], axis=0)][:D]
+        first = np.flatnonzero(new)
+        return np.r_[np.cumsum(new) - 1, np.full(N - D, first.size)], first
+
     # coalescence on the band: runs of diagonals with one lower bracket
     # shift, split between two brackets or, for a tie, on one cell.  Class
     # q, or Q off the band, deposits the pairs of larger partner j at
     # l = min(j + shift, N - 1), or at N + l where on l alone (a tie, or
     # the top cell)
-    single = np.zeros(N, bool)
-    single[:D] = ~live[1, :D]
-    new = (np.diff(shift[0, :D], prepend=-1) != 0) | (
-        np.diff(single[:D], prepend=2) != 0)
-    first = np.flatnonzero(new)
-    cls = np.full(N, first.size)
-    cls[:D] = np.cumsum(new) - 1
+    single = ~live[1]
+    cls, first = classes(shift[0], single)
+    Q = first.size
     lower = np.arange(N) + np.append(shift[0, first], 0)[:, None]
     one = (lower >= N - 1) | np.append(single[first], False)[:, None]
-    band_class = np.vstack((np.minimum(lower, N - 1) + N * one, cls))
-    shift[1, :D] = shift[0, :D] + 1           # the upper bracket
-    # the fragment bracket pairs: a pair clamped onto cell 0 at both ends
-    # sits one cell below its diagonal's shift, in a column the band pads
-    # at the bottom
-    low = dest[2::2, :D] == 0
-    low[:1] &= dest[3:4, :D] == 0
-    pad = int(low.any())
-    band_shift = shift[2::2, :D] - low + pad
-    L = N + max(0, band_shift.max(initial=0))
-    band_w = np.zeros((len(band_shift), 2, D, L))
-    k = np.arange(2, S)
-    shift[2:, :D] = band_shift[(k - 2) // 2] - pad + k[:, None] % 2
-    shift[:, D:] = offset[:, None]
+    band_class = [np.minimum(lower, N - 1) + N * one]
+    if S == 5:
+        # F fragment classes, runs of one shift of the partial cell's lower
+        # bracket (a cell lower where both of (0, d)'s clamp onto cell 0)
+        # and top cell; rows Q + 1 + k F + f: f's lower, upper, N + top
+        shift[2:4] = shift[2] - ((dest[2] == 0) & (dest[3] == 0)) + np.c_[0:2]
+        fcls, first = classes(shift[2], shift[4])
+        F = first.size
+        cells = np.arange(N) + shift[2:, first, None]
+        band_class += [(np.clip(cells, 0, N - 1, out=cells)
+                        + base[2:, None, None]).reshape(-1, N), fcls]
+        del cells                     # before the pair blocks
+    band_class = np.vstack(band_class + [cls])
 
-    # band_rate[b, d, i] is the pair (i, i + d) in table b: the death
-    # triangle, then F unless 1 - E rides in parent_w, then Ê unless it
-    # is E times the death triangle.  Panel p holds rows [r_p, r_{p+1})
-    # of the pairs j - i >= D: row i holds each table, then each fragment
-    # block, from column r_p + D
-    n_tri = 1 + (daughter.per_parent and not shared)
-    hat = int(not shared)
-    n_blk = n_tri + hat + (0 if daughter.per_parent else 3)
-    band_rate = np.zeros((n_tri + hat, D, N + 1))
+    # band_rate[b, d, i] is the pair (i, i + d) in table b, in the row
+    # order of _rows.  Panel p holds rows [r_p, r_{p+1}) of the pairs
+    # j - i >= D: row i holds each table from column r_p + D
+    band_rate = np.zeros((n_blk, D, N + 1))
     rows = np.append(np.arange(0, N, _PANEL_ROWS), N)
     r = rows[:-1]
     wide = np.maximum(N - D - r, 0)
@@ -313,7 +308,7 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         K[d == 0] *= 0.5
         band = d < D
         off = ~band
-        db, ib = d[band], iu[band]
+        db, ib, jb = d[band], iu[band], ju[band]
         cell = (at[iu] + ju)[off]
         width = wide[p[iu[off]]]
 
@@ -328,39 +323,43 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         if n_tri == 2:
             put(1, (1.0 - E) * K)
         if hat:
-            put(n_tri, E * K)
+            put(hat, E * K)
         out = streams(x, y, K, E)
-        for (dest_k, w, live_k), sh, g in zip(out, shift, range(S)):
-            col = ju + sh[d]
-            # every live stream must land where the band or the rule puts it
-            lands = np.where(band, np.clip(col, 0, N - 1), col)
-            if np.any(live_k & (dest_k != base[g] + lands)):
+        # every live stream must land where the band's classes or the rule
+        # off it put it: a band pair's coalescence at l and l + 1, or at l
+        # alone where its class's cell is N + l
+        lo = band_class[cls[db], jb]
+        for g, (dest_k, w, live_k) in enumerate(out):
+            lands = base[g] + ju + offset[g]
+            lands[band] = (lo % N + g if g < 2 else
+                           band_class[Q + 1 + F * (g - 2) + fcls[db], jb])
+            if np.any(live_k & (dest_k != lands)):
                 raise RuntimeError("a pair lands off the band and the blocks")
-            if g >= 2:               # fragment stream g - 2
-                band_w[g // 2 - 1, g % 2, db, col[band] + pad - g % 2] = w[band]
-                gain_w[cell + (n_tri + hat + g - 2) * width] = w[off]
+            if g >= 2:
+                put(frag0 + g - 2, w)
         # a band pair's coalescence splits between its class's brackets,
         # unless the class is a tie or its lower bracket is the top cell
-        split = live & ~single[d] & (ju + shift[0, d] < N - 1)
-        if np.any(band & (out[1][2] != split)):
+        if np.any(out[1][2][band] != (live[band] & (lo < N))):
             raise RuntimeError("a band pair's coalescence leaves its class's "
                                "brackets")
         del out, dest_k, w, live_k    # before the next block's streams
-    band_dest = (np.clip(np.arange(L) - pad + np.c_[0:2], 0, N - 1)
-                 + base[2::2, None, None])
     lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, gain_w=gain_w,
         panel_off=panel_off, parent_w=parent_w, band_rate=band_rate,
-        band_class=band_class, band_w=band_w, band_shift=band_shift,
-        band_dest=band_dest, lump_dest=lump_dest, lump_w=lump_w)
+        band_class=band_class, lump_dest=lump_dest, lump_w=lump_w)
 
 
-def _shares_death(prob: ProbSpec, offgrid_loss: bool) -> bool:
-    """Whether the coalescence rates are E times the death triangle, so
-    that no table of their own is stored."""
-    return prob.form == "constant" and not offgrid_loss
+def _rows(prob: ProbSpec, offgrid_loss: bool, per_parent: bool):
+    """The tables stored, as rows of ``band_rate`` and blocks of a panel:
+    the death triangle, F unless 1 - E rides in ``parent_w``, Ê unless it
+    is E times the death triangle (row 0), a pair law's three fragment
+    streams.  Returns (triangles, Ê's row, first fragment row, rows)."""
+    shared = prob.form == "constant" and not offgrid_loss
+    n_tri = 1 + (per_parent and not shared)
+    frag0 = n_tri + (not shared)
+    return n_tri, 0 if shared else n_tri, frag0, frag0 + 3 * (not per_parent)
 
 
 def _rates(tables: OperatorTables, density: np.ndarray):
@@ -372,10 +371,8 @@ def _rates(tables: OperatorTables, density: np.ndarray):
     number = density * g.widths
     rate = tables.band_rate
     D = rate.shape[1]
-    Q = len(tables.band_class) - 2
-    shared = _shares_death(tables.prob, tables.offgrid_loss)
-    n_tri = 1 + (tables.parent_w is not None and not shared)
-    hat = int(not shared)
+    n_tri, hat, frag0, _ = _rows(tables.prob, tables.offgrid_loss,
+                                 tables.parent_w is not None)
     pairs = np.array([number, c * number])
     # the death rate and F n; the fragment gains at j - 1, j and top cell j
     sums = np.zeros((5, N))
@@ -394,18 +391,18 @@ def _rates(tables: OperatorTables, density: np.ndarray):
         for b in range(n_tri):
             sums[b, r0 + D:] += Y[0, b * W:(b + 1) * W]
             sums[b, r0:r1] += panel[:, b * W:(b + 1) * W] @ number[r0 + D:]
-        # Ê: the death triangle's columns, or its own
-        h0 = 0 if shared else n_tri * W
         # adding into a view skips the copy back of ``a[:, i:] += ...``
         cols = coag[:, r0 + D:]
-        cols += Y[:, h0:h0 + W]
+        cols += Y[:, hat * W:(hat + 1) * W]
         if tables.parent_w is None:
             gains = frag[:, r0 + D:]
-            gains += Y[0, (n_tri + hat) * W:].reshape(3, W)
+            gains += Y[0, frag0 * W:].reshape(3, W)
     # numbers lumped by cell l (N + l: on l alone), and their heights
     # (c_i + c_j - c_l) over the lower bracket
     lumps = np.zeros((2, 2 * N))
-    scale = number * tables.prob.params["value"] if shared else number
+    # the band's fragments by cell, then by top cell at N + t
+    landed = np.zeros(2 * N + 1)
+    scale = number if hat else number * tables.prob.params["value"]
 
     def deposit(part, cells):
         """Lump the classes' sums A = sum_i n_i Ê_ij and B = sum_i c_i n_i
@@ -428,6 +425,7 @@ def _rates(tables: OperatorTables, density: np.ndarray):
         # n_{i + d}; the larger j reads it at j - d, through a view of
         # row stride N whose entries j < d are the zeros past the grid
         cls = tables.band_class[-1]
+        Q = cls[D - 1] + 1
         apart = np.zeros((2, D + N + D))     # (n, c n), D zeros each side
         apart[:, D:D + N] = pairs
         ahead = np.ndarray((D, N), buffer=apart, offset=8 * D,
@@ -436,12 +434,18 @@ def _rates(tables: OperatorTables, density: np.ndarray):
                             strides=(apart.strides[0], -8, 8))
         larger = np.ndarray((len(rate), D, N), buffer=rate,
                             strides=(rate.strides[0], 8 * N, 8))
-        hat_rows = larger[n_tri if hat else 0]
         # member[q, d]: diagonal d is in class q; no diagonal in class Q
-        member = (cls[:D] == np.arange(Q + 1)[:, None]).astype(float)
-        prod = np.empty((min(D, _BAND_DIAGONALS), N))
+        member = (cls[:D] == np.arange(Q + 1)[:, None]) * 1.0
+        # n_i times Ê, then times the fragment weights of a pair law
+        prod = np.empty((len(rate) - hat, min(D, _BAND_DIAGONALS), N))
+        if len(prod) > 1:
+            # the fragment classes' sums, three streams each
+            fcls = tables.band_class[-2]
+            fmember = (fcls[:D] == np.arange(fcls[D - 1] + 1)[:, None]) * 1.0
+            fsum = np.empty((3, len(fmember), N))
         for d0 in range(0, D, _BAND_DIAGONALS):
             d1 = min(d0 + _BAND_DIAGONALS, D)
+            n = d1 - d0
             for b in range(n_tri):
                 sums[b] += np.vecdot(rate[b, d0:d1, :N], ahead[d0:d1],
                                      axis=0)
@@ -452,15 +456,28 @@ def _rates(tables: OperatorTables, density: np.ndarray):
             # last chunk's take the pairs off the band, class Q, along
             q0, q1 = cls[d0], cls[d1 - 1] + 1 if d1 < D else Q + 1
             part = np.empty((2, q1 - q0, N))
-            for k in range(2):
-                np.multiply(hat_rows[d0:d1], behind[k, d0:d1],
-                            out=prod[:d1 - d0])
-                np.matmul(member[q0:q1, d0:d1], prod[:d1 - d0], out=part[k])
+            np.multiply(larger[hat:, d0:d1], behind[0, d0:d1],
+                        out=prod[:, :n])
+            np.matmul(member[q0:q1, d0:d1], prod[0, :n], out=part[0])
+            if len(prod) > 1:
+                # a class begun in the last chunk keeps its sum so far
+                f0, f1 = fcls[d0], fcls[d1 - 1] + 1
+                begun = fsum[:, f0].copy() if d0 and fcls[d0 - 1] == f0 else 0
+                np.matmul(fmember[f0:f1, d0:d1], prod[1:, :n],
+                          out=fsum[:, f0:f1])
+                fsum[:, f0] += begun
+            np.multiply(larger[hat, d0:d1], behind[1, d0:d1], out=prod[0, :n])
+            np.matmul(member[q0:q1, d0:d1], prod[0, :n], out=part[1])
             if not hat:
                 sums[0] += part[0].sum(axis=0)
             if d1 == D:
                 part[:, -1] += coag
             deposit(part, tables.band_class[q0:q1])
+        if len(prod) > 1:
+            # times n_j, on the classes' cells
+            fsum *= number
+            landed = np.bincount(tables.band_class[Q + 1:-2].ravel(),
+                                 fsum.ravel(), 2 * N + 1)
     sums[2:] *= number
     if tables.parent_w is not None:
         # n_j times (F n)_j breaks parent j, or the death rate K n with
@@ -474,26 +491,9 @@ def _rates(tables: OperatorTables, density: np.ndarray):
     gain = num[:N] + num[N:] + rise[N:] / c + frag[1]
     gain[:-1] += frag[0, 1:] - up
     gain[1:] += up
-    top = np.zeros(N + 1)
-    top[:-1] = frag[2]
-    if len(tables.band_w):
-        # fragment pairs on the band: column m of diagonal d in bracket
-        # pair g is the pair (m - shift - d, m - shift); one gather per
-        # chunk of diagonals reads both rows off the zero-padded numbers
-        L = tables.band_w.shape[3]
-        padded = np.concatenate((np.zeros(L + D), number, np.zeros(L + D)))
-        window = np.ndarray((padded.size - L + 1, L), buffer=padded,
-                            strides=(8, 8))
-        cols = np.zeros(tables.band_dest.shape)
-        for d0 in range(0, D, _BAND_DIAGONALS):
-            d1 = min(d0 + _BAND_DIAGONALS, D)
-            at = (L + D - tables.band_shift[:, d0:d1]
-                  - _PARTNER * np.arange(d0, d1))
-            cols += np.einsum("gbdm,gdm,gdm->gbm",
-                              tables.band_w[:, :, d0:d1], *window[at])
-        out = np.bincount(tables.band_dest.ravel(), cols.ravel(), 2 * N + 1)
-        gain += out[:N]
-        top += out[N:]
+    gain += landed[:N]
+    top = landed[N:]
+    top[:-1] += frag[2]
     # top cell t receives the lump and every complete cell below t
     above = np.cumsum(top[::-1])[::-1]
     gain += np.bincount(tables.lump_dest,
@@ -582,9 +582,8 @@ _DT_MIN = 1e-12                      # step-size underflow guard, per horizon
 _MAX_RHS_CALLS = 40_000              # work bound of one integration
 _PAIR_BLOCK = 2 ** 12                # upper-triangle pairs per build block
 _PANEL_ROWS = 128                    # pair triangle rows per panel
-_BAND_DIAGONALS = 32                 # band diagonals per gather
+_BAND_DIAGONALS = 32                 # band diagonals per chunk
 _TIE_ULPS = 1024                     # a lump this close to a center sits on it
-_PARTNER = np.array([1, 0])[:, None, None]   # smaller partner j - d, larger j
 
 
 def _clip(density: np.ndarray, grid: Grid):

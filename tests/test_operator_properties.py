@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 import breakcoag as bc
 from breakcoag import solver
 from breakcoag.solver import _phi_values, _rhs
-from test_solver import (_reference_rhs, dense_deposits, dense_fragments,
-                         dense_kernels, dense_panels)
+from test_solver import (_reference_rhs, band_cells, dense_deposits,
+                         dense_fragments, dense_kernels, dense_panels)
 
 X_MIN = 1e-3
 
@@ -170,13 +170,11 @@ def test_blocks_and_band_carry_each_pair_once(case):
     N = g.cell_count
     D = tables.band_rate.shape[1]
     death, hat, blocks, F = dense_panels(tables)
-    # the panels hold no fragment gain of the band's diagonals j - i < D,
-    # and the band's brackets are the fragments' only: the partial cell
-    # and the top cell under a pair law, none per parent
+    # the fragment streams of a pair law: the partial cell's brackets and
+    # the top cell, none per parent
+    assert len(blocks) == (3 if tables.parent_w is None else 0)
     i, j = np.indices((N, N))
     band = j - i < D
-    assert not blocks[:, band].any()
-    assert len(tables.band_w) == (2 if tables.parent_w is None else 0)
     # (weights, offset): column j of the weights deposits at j + offset.
     # Off the band, Ê by the bracket rule: c_i / (c_{j+1} - c_j) of a
     # pair's number moves up to j + 1, and the top cell keeps s / c_{N-1}
@@ -188,7 +186,7 @@ def test_blocks_and_band_carry_each_pair_once(case):
     placed = [(rest * (1.0 - up), 0), (np.where(j < N - 1, rest * up, 0.0), 1)]
     if tables.parent_w is None:
         assert F is None
-        placed += zip(blocks, (-1, 0, N))
+        placed += zip(np.where(band, 0.0, blocks), (-1, 0, N))
     else:
         # parent j breaks at rate n_j (n @ brk)_j and spreads it by its
         # weights: partial cell at j - 1 and j, top cell j
@@ -210,7 +208,8 @@ def test_blocks_and_band_carry_each_pair_once(case):
     # (c_{l+1} - c_l) of it at l + 1, or at l alone with s / c_l where
     # the row says N + l
     i, j = np.nonzero(np.triu(band))
-    cell = tables.band_class[tables.band_class[-1, j - i], j]
+    cls, coal, fcls, frag = band_cells(tables)
+    cell = coal[cls[j - i], j]
     one = cell >= N
     low = cell % N
     high = np.minimum(low + 1, N - 1)
@@ -219,13 +218,11 @@ def test_blocks_and_band_carry_each_pair_once(case):
     w1 = np.where(one, (c[j] + c[i]) / c[low], 1.0 - w2)
     np.add.at(got, (i, j, low), hat[i, j] * w1)
     np.add.at(got, (i, j, high), hat[i, j] * w2)
-    # column m of diagonal d in fragment bracket pair g is the pair
-    # (j - d, j), j = m - shift
-    g, b, d, m = tables.band_w.nonzero()
-    j = m - tables.band_shift[g, d]
-    assert np.all((d <= j) & (j < N))
-    np.add.at(got, (j - d, j, tables.band_dest[g, b, m]),
-              tables.band_w[g, b, d, m])
+    # and a pair law's fragments of the pair (i, j) land on the cells of
+    # its fragment class's rows at j
+    if frag is not None:
+        for weights, cells in zip(blocks, frag):
+            np.add.at(got, (i, j, cells[fcls[j - i], j]), weights[i, j])
     # entries (i, j) and (j, i) carry the same pair
     lower = np.tril_indices(N, -1)
     got[lower[1], lower[0]] += got[lower]
@@ -276,13 +273,12 @@ def test_no_fragment_gain_when_E_is_one(case):
     N = tables.grid.cell_count
     _, _, blocks, F = dense_panels(tables)
     if tables.parent_w is None:
-        # the partial cell's brackets and the top cell
+        # the partial cell's brackets and the top cell, on the band too
         assert not blocks.any()
     elif F is None:
         assert not tables.parent_w.any()       # the weights carry 1 - E
     else:
         assert not F.any()                     # the breakage rate F
-    assert not tables.band_w.any()           # the fragment bracket pairs
 
 
 phis = (st.sampled_from([("power", 0.0), ("power", 1.0)])

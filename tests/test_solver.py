@@ -94,24 +94,23 @@ def dense_panels(tables):
     """The pair tables read back as dense (N, N) arrays: the death kernel,
     the stored upper triangle mirrored with its halved diagonal doubled
     back; Ê, the coalescence rate of each pair i <= j (E times the death
-    triangle where no table of its own is stored); the fragment gain
-    blocks (n, N, N), entry [b, i, j] the weight of the pair (i, j) in
-    block b, zero on the band's diagonals; and F, the per-parent breakage
-    rate (1 - E) K mirrored as the death kernel is (None where 1 - E rides
-    in ``parent_w``).  The row panels hold the pairs j - i >= D, each block
+    triangle where no table of its own is stored); the fragment weights
+    (n, N, N), entry [b, i, j] the weight of the pair (i, j) in stream b,
+    on the band and off it; and F, the per-parent breakage rate (1 - E) K
+    mirrored as the death kernel is (None where 1 - E rides in
+    ``parent_w``).  The row panels hold the pairs j - i >= D, each block
     of panel p one width N - D - r_p from column r_p + D, and ``band_rate``
-    the pairs j - i < D; the reader asserts that layout, a zero corner in
-    every panel and no rate past the grid in the band."""
+    the pairs j - i < D, both in the table order of ``_rows``; the reader
+    asserts that layout, a zero corner in every panel and nothing past the
+    grid in the band."""
     N = tables.grid.cell_count
     rate = tables.band_rate
     D = rate.shape[1]
     rows, off = tables.panel_off
     assert rows[0] == 0 and rows[-1] == N and off[-1] == tables.gain_w.size
-    shared = solver._shares_death(tables.prob, tables.offgrid_loss)
-    n_tri = 1 + (tables.parent_w is not None and not shared)
-    n_rate = n_tri + (not shared)
-    n_blk = n_rate + 3 * (tables.parent_w is None)
-    assert len(rate) == n_rate
+    n_tri, hat, n_rate, n_blk = solver._rows(
+        tables.prob, tables.offgrid_loss, tables.parent_w is not None)
+    assert len(rate) == n_blk
     tabs = np.zeros((n_blk, N, N))
     for r0, r1, o0, o1 in zip(rows, rows[1:], off, off[1:]):
         W = max(N - D - r0, 0)
@@ -124,13 +123,33 @@ def dense_panels(tables):
     d, k = np.indices((D, N + 1))
     assert not rate[:, d + k >= N].any()
     inside = d + k < N
-    tabs[:n_rate, k[inside], (d + k)[inside]] = rate[:, inside]
+    tabs[:, k[inside], (d + k)[inside]] = rate[:, inside]
     tris = tabs[:n_tri]
     assert not tris[:, i > j].any()
     full = tris + tris.transpose(0, 2, 1)
     F = full[1] if n_tri > 1 else None
-    hat = tables.prob.params["value"] * tabs[0] if shared else tabs[n_tri]
+    hat = tabs[hat] if hat else tables.prob.params["value"] * tabs[0]
     return full[0], hat, tabs[n_rate:], F
+
+
+def band_cells(tables):
+    """``band_class`` read back: the coalescence class per band diagonal
+    and each class's cell per larger partner j (Q + 1 rows, the last off
+    the band); under a pair law also the fragment class per band diagonal
+    and each class's cells per j (3, F, N): the partial cell's lower and
+    upper brackets and N + the top cell (None per parent)."""
+    D = tables.band_rate.shape[1]
+    cls = tables.band_class[-1]
+    Q = cls[D - 1] + 1 if D else 0
+    coal = tables.band_class[:Q + 1]
+    if tables.parent_w is not None:
+        assert len(tables.band_class) == Q + 2
+        return cls[:D], coal, None, None
+    fcls = tables.band_class[-2]
+    F = fcls[D - 1] + 1 if D else 0
+    assert len(tables.band_class) == Q + 1 + 3 * F + 2
+    return (cls[:D], coal, fcls[:D],
+            tables.band_class[Q + 1:-2].reshape(3, F, len(cls)))
 
 
 def _reference_rhs(tables, density):
@@ -340,8 +359,8 @@ class TestBuildTables:
         assert peak <= 1.4 * _held_bytes(t)
 
     def test_build_transient_of_the_linear_workload(self):
-        # what one pair block keeps alive beside the 3.07 MB of tables
-        # the build returns: about 290 B per pair
+        # what one pair block keeps alive beside the 2.17 MB of tables
+        # the build returns: about 270 B per pair
         tracemalloc.start()
         try:
             t = _tables(bc.make_grid(1e-4, 1e3, 300))
@@ -354,7 +373,8 @@ class TestBuildTables:
         # the linear workload's operator: the death triangle and three
         # fragment blocks of the pairs j - i >= D, and no coalescence
         # block, as Ê is E times the death triangle; the band holds the
-        # death rate of the pairs j - i < D, and only fragment brackets
+        # same four tables of the pairs j - i < D, and band_class the
+        # cells of the coalescence and fragment classes
         N = 300
         t = _tables(bc.make_grid(1e-4, 1e3, N))
         D, B = t.band_rate.shape[1], solver._PANEL_ROWS
@@ -365,8 +385,9 @@ class TestBuildTables:
         assert t.gain_w.size == cells.sum()
         assert np.array_equal(t.panel_off, [rows, np.append(0, np.cumsum(
             cells))])
-        assert t.band_rate.shape == (1, D, N + 1)
-        assert t.band_w.shape[:3] == (2, 2, D)
+        assert t.band_rate.shape == (4, D, N + 1)
+        cls, coal, fcls, frag = band_cells(t)
+        assert len(coal) == cls[-1] + 2 and frag.shape == (3, fcls[-1] + 1, N)
 
     def test_fine_grid_operator_holds_the_kernel_once(self):
         # the fine-grid workload's operator: per-parent, constant E, so the
@@ -381,11 +402,12 @@ class TestBuildTables:
         # band's D diagonals of N + 1
         tri = (N - D) * (N - D + 1) // 2 + panels * B * (B - 1) // 2
         assert t.gain_w.size <= tri
-        assert t.band_rate.shape == (1, D, N + 1) and t.band_w.size == 0
+        assert t.band_rate.shape == (1, D, N + 1)
         assert (_held_bytes(t) <= 8 * (tri + D * (N + 1) + 16 * N)
                 + t.band_class.nbytes)
         # the band classes' table: one row per class and off the band,
-        # one for the class of each diagonal
+        # one for the class of each diagonal, no fragment classes
+        assert band_cells(t)[2] is None
         assert t.band_class.shape[1] == N and len(t.band_class) - 2 <= D
 
     def test_per_parent_breakage_is_a_second_triangle(self):
@@ -401,7 +423,8 @@ class TestBuildTables:
         # K, F and Ê of the pairs j - i >= D, each one width per panel
         cells = 3 * np.diff(rows) @ np.maximum(N - D - rows[:-1], 0)
         assert t.gain_w.size == cells
-        assert t.band_rate.shape == (3, D, N + 1) and t.band_w.size == 0
+        assert t.band_rate.shape == (3, D, N + 1)
+        assert band_cells(t)[2] is None
         assert (_held_bytes(t) <= 8 * (cells + 3 * D * (N + 1) + 16 * N)
                 + t.band_class.nbytes)
 
@@ -446,13 +469,13 @@ class TestBuildTables:
         assert np.all(np.abs(_rhs(t, density) - ref)
                       <= 1e-12 * (np.abs(ref + death) + death))
         if grid[2] == 3:
-            # column m of the partial-cell bracket pair holds the pair
-            # (0, 0) at m = shift, (1, 1) at m = shift + 1
-            assert t.band_w.shape[2] >= 1
-            m = t.band_shift[0, 0]
-            assert t.band_w[0, 0, 0, m] > 0
-            assert np.all(t.band_dest[0, :, m] == 0)
-            assert t.band_dest[0, 0, m + 1] == 0
+            # diagonal 0's fragment class: the pair (0, 0) has a lower
+            # bracket weight, and both its brackets land on cell 0, as
+            # does the lower one of (1, 1)
+            _, _, fcls, frag = band_cells(t)
+            lower, upper, _ = frag[:, fcls[0]]
+            assert t.band_rate[solver._rows(t.prob, False, False)[2], 0, 0] > 0
+            assert lower[0] == upper[0] == lower[1] == 0
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     @pytest.mark.parametrize("grid, kw, rate", [
@@ -523,9 +546,11 @@ class TestBuildTables:
                         t = bc.build_tables(
                             g, bc.KernelSpec.sum_product(0.0, 1.0), n_trunc,
                             daughter, bc.ProbSpec.constant(0.5))
-                        # a padded band sends its first two columns to cell 0
-                        clamps += (t.band_w.size > 0
-                                   and t.band_dest[0, 0, 1] == 0)
+                        # the upper bracket of the pair (0, 0) clamped
+                        # onto cell 0 with the lower one
+                        _, _, fcls, frag = band_cells(t)
+                        clamps += (fcls is not None and fcls.size > 0
+                                   and frag[1, fcls[0], 0] == 0)
         assert clamps > 0
 
     @pytest.mark.parametrize("daughter", [
@@ -603,6 +628,55 @@ class TestBuildTables:
                     daughter=daughter, prob=prob)
         assert t.band_rate.any()
 
+    @pytest.mark.parametrize("N, kernel, daughter, prob, megabytes", [
+        (120, bc.KernelSpec.sum_product(-0.25, 0.5),
+         bc.DaughterSpec.power_total(0.0),
+         bc.ProbSpec.small_volume_floor(0.6, 0.2), 0.61),
+        (300, bc.KernelSpec.sum_product(0.0, 1.0),
+         bc.DaughterSpec.power_total(0.0), bc.ProbSpec.constant(0.5), 2.18),
+        (800, bc.KernelSpec.sum_product(0.0, 1.0),
+         bc.DaughterSpec.power_each(0.0), bc.ProbSpec.constant(0.5), 3.311),
+        (800, bc.KernelSpec.sum_product(0.0, 1.0),
+         bc.DaughterSpec.power_total(0.0), bc.ProbSpec.constant(0.5), 13.31),
+    ], ids=["singular-suite", "linear", "fine-grid", "power_total-800"])
+    def test_no_stored_table_row_is_zero(self, N, kernel, daughter, prob,
+                                         megabytes):
+        # every diagonal of every band table, every table block of a panel
+        # and every row of the per-parent weights holds a non-zero weight:
+        # no table is stored that the geometry keeps zero
+        t = _tables(bc.make_grid(1e-4, 1e3, N), kernel=kernel,
+                    daughter=daughter, prob=prob)
+        n_blk, D = t.band_rate.shape[:2]
+        assert t.band_rate.any(axis=2).all()
+        rows, off = t.panel_off
+        for r0, r1, o0, o1 in zip(rows, rows[1:], off, off[1:]):
+            if N - D - r0 > 0:
+                blocks = t.gain_w[o0:o1].reshape(r1 - r0, n_blk, -1)
+                assert blocks.any(axis=(0, 2)).all()
+        assert t.parent_w is None or t.parent_w.any(axis=1).all()
+        assert t.lump_w.any()
+        assert _held_bytes(t) <= megabytes * 1e6
+
+    @pytest.mark.parametrize("kernel", [
+        bc.KernelSpec.product(), bc.KernelSpec.sum_product(0.0, 1.0)],
+        ids=["product", "x+y"])
+    @pytest.mark.parametrize("daughter", [
+        bc.DaughterSpec.power_total(0.0), bc.DaughterSpec.power_total(-0.5),
+        bc.DaughterSpec.power_total(1.5), bc.DaughterSpec.uniform()],
+        ids=["nu=0", "nu=-0.5", "nu=1.5", "uniform"])
+    def test_cells_just_above_the_cut(self, kernel, daughter):
+        # n_trunc = 0.3 x_max: the cells just above the cut gain only the
+        # upper-bracket deposits of pairs summing to just under n_trunc,
+        # much of them from the band's coalescence and fragment class sums
+        g = bc.make_grid(1e-4, 1e3, 300)
+        t = bc.build_tables(g, kernel, 0.3 * g.x_max, daughter,
+                            bc.ProbSpec.constant(0.3))
+        density = np.random.default_rng(28).random(g.cell_count)
+        ref = _reference_rhs(t, density)
+        death = density * (dense_panels(t)[0] @ (density * g.widths))
+        assert np.all(np.abs(_rhs(t, density) - ref)
+                      <= 1e-12 * (np.abs(ref + death) + death))
+
     @pytest.mark.parametrize("grid, daughter", [
         ((1e-3, 1e3, 3), bc.DaughterSpec.power_total(-0.39)),
         ((1e-4, 1e3, 300), bc.DaughterSpec.power_total(0.0)),
@@ -613,8 +687,7 @@ class TestBuildTables:
         layouts = []
         for E in (0.0, 0.5, 1.0):
             t = _tables(g, daughter=daughter, prob=bc.ProbSpec.constant(E))
-            layouts.append((t.band_rate.shape, t.band_class, t.band_w.shape,
-                            t.band_shift, t.band_dest))
+            layouts.append((t.band_rate.shape, t.band_class))
         for layout in layouts[1:]:
             for a, b in zip(layouts[0], layout):
                 assert np.array_equal(a, b)
