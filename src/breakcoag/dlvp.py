@@ -29,7 +29,9 @@ __all__ = [
 
 
 def _tail_model(x: np.ndarray, h: np.ndarray):
-    """Fit ``h ~ C x^q`` to the first table points for below-table tails."""
+    """Fit ``h ~ C x^q`` to the first table points for below-table tails,
+    by the closed-form least-squares line through (log x, log h) of the
+    positive points: q = sum X'Y' / sum X'^2 over the centred logs."""
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     if x.ndim != 1 or x.size < 4 or h.shape != x.shape:
@@ -40,8 +42,10 @@ def _tail_model(x: np.ndarray, h: np.ndarray):
     hx, hh = x[head], h[head]
     pos = hh > 0
     if pos.sum() >= 2:
-        q, logc = np.polyfit(np.log(hx[pos]), np.log(hh[pos]), 1)
-        coeff = math.exp(logc)
+        X, Y = np.log(hx[pos]), np.log(hh[pos])
+        X0, Y0 = X.mean(), Y.mean()
+        q = float((X - X0) @ (Y - Y0) / ((X - X0) @ (X - X0)))
+        coeff = math.exp(Y0 - q * X0)
     else:
         q, coeff = 0.0, 0.0
     if q <= -1.0:
@@ -50,9 +54,10 @@ def _tail_model(x: np.ndarray, h: np.ndarray):
     return float(coeff), float(q)
 
 
-def _tail_integral(x: np.ndarray, h: np.ndarray, upper: float) -> float:
-    """``int_0^upper h`` using the fitted power-law below the table."""
-    coeff, q = _tail_model(x, h)
+def _tail_integral(x: np.ndarray, h: np.ndarray, tail, upper: float) -> float:
+    """``int_0^upper h`` using the fitted power law ``tail`` = (C, q) of
+    ``_tail_model`` below the table."""
+    coeff, q = tail
     below = min(upper, float(x[0]))
     total = coeff * below ** (q + 1.0) / (q + 1.0)
     if upper > x[0]:
@@ -66,11 +71,12 @@ def build_j_sequence(x: np.ndarray, h: np.ndarray, max_m: int = 25) -> np.ndarra
     """Minimal integers meeting the growth and small-volume tail rules."""
     if max_m < 2:
         raise ConfigError("max_m must be at least 2")
+    tail = _tail_model(x, h)
     js = [1]
     for m in range(max_m):
         j = max(2 * js[-1], math.ceil(math.exp(m + 1)))
         target = 1.0 / (m + 1) ** 2
-        while _tail_integral(x, h, 1.0 / j) > target:
+        while _tail_integral(x, h, tail, 1.0 / j) > target:
             j *= 2
             if j > 10 ** 18:
                 raise DataError("tail integral does not decay; profile "
@@ -80,7 +86,7 @@ def build_j_sequence(x: np.ndarray, h: np.ndarray, max_m: int = 25) -> np.ndarra
         hi = j
         while lo < hi:
             mid = (lo + hi) // 2
-            if _tail_integral(x, h, 1.0 / mid) <= target:
+            if _tail_integral(x, h, tail, 1.0 / mid) <= target:
                 hi = mid
             else:
                 lo = mid + 1

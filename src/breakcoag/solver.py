@@ -39,34 +39,44 @@ Design notes
   A - U at l, or (B + c_j A) / c_l at l alone where it ties on a centre
   or l is the top cell.  Under a constant E without ``offgrid_loss`` Ê
   is E times the death rate; otherwise it is a table of its own.  The
-  pair laws add three tables, the fragment weights of the partial cell's
-  brackets and of the top cell, landing at j - 1, j and the top cell j
-  off the band and at one shift of j per diagonal and stream on it
-  (clipped at both grid ends), in fragment classes; ``band_class`` holds
-  each class's cells per j and each diagonal's classes.  Per chunk of
-  ``_BAND_DIAGONALS`` diagonals a product forms n_i Ê and n_i times the
-  fragment weights, and GEMMs with the 0/1 class membership sum them.
-  D, the shifts and the classes depend on the grid, daughter and
-  ``n_trunc`` only.  Ties at a center sit on it, a size on an edge keeps
-  the cell below as its top cell, and a partial cell whose brackets both
-  clamp onto cell 0 puts its class's lower bracket a cell below, so
-  every pair is in the panels or the band (else the build raises).  The
-  top-cell stream deposits every complete cell below the top: a suffix
-  sum over the cells, applied to the O(N) per-lump table ``lump_*``.
-  Under ``power_each`` both partners of a pair break at the rate
-  F = (1 - E) K, E read at (c_i, c_j), i <= j, as coalescence reads it,
-  so mass is kept for any E.  Parent j breaks like a pair of total size
-  c_j (top cell j, partial cell [e_j, c_j] at j - 1 and j), spread by the
-  (3, N) ``parent_w`` from (F n)_j: F is a second table, or the death
-  rate if it is capped and E constant (1 - E then rides in
-  ``parent_w``).  K and E enter only through these weights, and the
-  weak-form residual reads its rates through the same ``_rates``.
+  pair laws' fragments read the breakage rate: the death rate with 1 - E
+  in the weights under a constant E without ``offgrid_loss``, else the
+  table F = (1 - E) K, stored with Ê in place of K (K = F + Ê) unless
+  ``offgrid_loss`` keeps K for the collisions off the grid.  On the
+  geometric grid a pair's fragment weights per unit breakage rate depend
+  on d = j - i alone: ``frag_w`` (3, N) holds them per offset, those of
+  the pair (0, d) on the centres extended by one cell at either end, for
+  the partial cell's lower and upper brackets and the top cell, whose
+  stream also takes c_j^-(nu+1) per column.  Off the band they land at
+  j - 1, j and the top cell j, each summed per panel as n times the
+  panel's F times a Toeplitz view of ``frag_w``; on the band at one
+  shift of j per diagonal and stream, in fragment classes summed by
+  GEMMs with the class membership weighted by ``frag_w``.  A pair whose
+  brackets clamp onto an end cell splits onto the cell past it, the
+  edge column -1 or N, which folds onto the end cell keeping mass, as
+  its exact single-cell deposit does; the build checks every pair's
+  exact streams against its offset's weights and raises otherwise.
+  ``band_class`` holds each class's cells per j and each diagonal's
+  classes.  Per chunk of ``_BAND_DIAGONALS`` diagonals a product forms
+  n_i Ê and n_i F, and GEMMs with the class membership sum them.  D, the
+  shifts and the classes depend on the grid, daughter and ``n_trunc``
+  only.  Ties at a center sit on it and a size on an edge keeps the cell
+  below as its top cell, so every pair is in the panels or the band
+  (else the build raises).  The top-cell stream deposits every complete
+  cell below the top: a suffix sum over the cells, applied to the O(N)
+  per-lump table ``lump_*``.  Under ``power_each`` both partners of a
+  pair break at the rate F = (1 - E) K, E read at (c_i, c_j), i <= j, as
+  coalescence reads it, so mass is kept for any E.  Parent j breaks like
+  a pair of total size c_j (top cell j, partial cell [e_j, c_j] at j - 1
+  and j), spread by the (3, N) ``frag_w`` from (F n)_j: F is a second
+  table, or the death rate if it is capped and E constant (1 - E then
+  rides in ``frag_w``).  K and E enter only through these weights, and
+  the weak-form residual reads its rates through the same ``_rates``.
 * ``build_tables`` walks the pairs i <= j once, in row blocks of at most
   ``_PAIR_BLOCK`` pairs, reading E and K once per pair (a table kernel
   K(y, x) too, for the symmetry check), and filling every table in place:
-  its peak memory is 1.11-1.12 times the table bytes at N = 800 (1.32 for
-  the smallest, ``power_each`` at constant E), and the block size changes
-  no bit of the tables.
+  its peak memory is 1.2-1.3 times the table bytes at N = 800, and the
+  block size changes no bit of the tables.
 """
 
 from __future__ import annotations
@@ -133,7 +143,9 @@ class OperatorTables:
     offgrid_loss: bool
     gain_w: np.ndarray                 # row panels of the tables of _rows
     panel_off: np.ndarray              # (2, P + 1) first row, flat start
-    parent_w: np.ndarray | None        # per-parent (3, N): cells j - 1, j, top j
+    frag_w: np.ndarray                 # (3, N) fragment weights: cells j - 1, j,
+                                       # top j per parent j; per offset d under
+                                       # a pair law (see build_tables)
     band_rate: np.ndarray              # (B, D, N + 1) [b, d, i]: pair (i, i + d)
     band_class: np.ndarray             # cells per class and j; the class of
                                        # each diagonal (see build_tables)
@@ -164,14 +176,17 @@ def _frag_lumps(daughter: DaughterSpec, grid: Grid):
             np.concatenate(([e[0] ** (nu + 2.0) / grid.centers[0]], w1, w2)))
 
 
-def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
+def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray,
+                  centers=None):
     """Top cell t and remapped partial-cell deposit [e_t, s] for pair
-    sizes s (at least 2 c_0).  A size within ``_TIE_ULPS`` ulps above an
-    edge keeps the cell below as its top cell, so rounding picks no top
-    cell; its partial cell then spans that whole cell, and is never empty."""
+    sizes s (at least 2 c_0), on ``centers`` (the grid's by default).  A
+    size within ``_TIE_ULPS`` ulps above an edge keeps the cell below as
+    its top cell, so rounding picks no top cell; its partial cell then
+    spans that whole cell, and is never empty."""
     e = grid.edges
     t = np.searchsorted(e + _TIE_ULPS * np.spacing(e), s) - 1
-    return (t, *_frag_lump(daughter.nu, grid.centers, e[t], s))
+    return (t, *_frag_lump(daughter.nu, grid.centers if centers is None
+                           else centers, e[t], s))
 
 
 def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
@@ -191,47 +206,52 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         raise ConfigError(
             "simulation requires a finite fragment count (daughter exponent > -1)")
     c = grid.centers
+    e = grid.edges
     N = c.size
-    n_tri, hat, frag0, n_blk = _rows(prob, offgrid_loss, daughter.per_parent)
+    nu1 = daughter.nu + 1.0
+    n_tri, brk, hat, n_blk = _rows(prob, offgrid_loss, daughter.per_parent)
 
-    parent_w = None
-    if daughter.per_parent:
-        # parent j spreads its fragments like a pair of total size c_j
-        _, _, pw1, pw2 = _frag_lump(daughter.nu, c, grid.edges[:-1], c)
-        pw2[0], pw1[0] = pw1[0] + pw2[0], 0.0     # parent 0: cell 0 alone
-        parent_w = np.array([pw1, pw2, np.ones(N)]) * c ** (-(daughter.nu + 1.0))
-        if not hat:                           # 1 - E rides in the weights
-            parent_w *= 1.0 - prob.params["value"]
-
-    def streams(x, y, rate, E):
-        """(destination, weight, live) per stream of pairs of sizes x <= y:
-        the coalescence brackets' number weights per collision, then,
-        unless per parent, the fragment weights at the gain rate ``rate``
-        and coalescence probability ``E``; ``live``: the weights that
+    def streams(x, y):
+        """(destination, weight, live) of the coalescence brackets of pairs
+        of sizes x <= y, weights per collision; ``live``: the weights that
         geometry and n_trunc leave non-zero."""
-        s = x + y
-        live = s < n_trunc
         l1, l2, w1, w2 = _remap_points(c, y, 1.0, x)
-        out = [(l1, w1, live & (w1 != 0)), (l2, w2, live & (w2 != 0))]
-        if not daughter.per_parent:
-            top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, s)
-            frag = rate * (1.0 - E) * s ** (-(daughter.nu + 1.0))
-            out += [(pl1, frag * pw1, live & (pw1 != 0)),
-                    (pl2, frag * pw2, live & (pw2 != 0)),
-                    (N + top, frag, live)]
-        return out
+        live = x + y < n_trunc
+        return [(l1, w1, live & (w1 != 0)), (l2, w2, live & (w2 != 0))]
 
     # streams: coalescence and partial-cell brackets (lower, upper), top
-    # cell; off the band stream k deposits at base + j + offset
-    S = 2 if daughter.per_parent else 5
-    base = np.array([0, 0, 0, 0, N])[:S]
-    offset = np.array([0, 1, -1, 0, 0])[:S]
+    # cell; off the band stream k deposits at j + offset
+    offset = np.array([0, 1, -1, 0, 0])
     # the shift of each stream on diagonal d is read off the pair (0, d);
     # the band holds the diagonals below the last one where that pair
     # breaks the rule (its weights go unread)
-    dest, _, live = map(np.array, zip(*streams(c[0], c, 1.0, 1.0)))
-    shift = dest - base[:, None] - np.arange(N)
-    off = np.any(live & (shift != offset[:, None]), axis=0)
+    dest, _, live = map(list, zip(*streams(c[0], c)))
+    if daughter.per_parent:
+        # parent j spreads its fragments like a pair of total size c_j
+        _, _, pw1, pw2 = _frag_lump(daughter.nu, c, e[:-1], c)
+        pw2[0], pw1[0] = pw1[0] + pw2[0], 0.0     # parent 0: cell 0 alone
+        frag_w = np.array([pw1, pw2, np.ones(N)]) * c ** -nu1
+    else:
+        # a pair law's weights per unit breakage rate depend on d = j - i
+        # alone: those of the pair (0, d) on the centres extended by a cell
+        # at either end, where no partial cell clamps.  A pair whose
+        # brackets clamp onto an end cell splits onto the cell past it,
+        # the edge column -1 or N, which folds onto the end cell by mass
+        ext = np.r_[c[0] * e[0] / e[1], c, c[-1] * e[-1] / e[-2]]
+        size = c[0] + c
+        top, l1, l2, w1, w2 = _frag_partial(daughter, grid, size, ext)
+        inside = size < n_trunc
+        scale = np.where(inside, size ** -nu1, 0.0)
+        # the top cell's stream is (c_i + c_j)^-(nu+1), c_j^-(nu+1) applied
+        # per column j
+        frag_w = np.array([w1 * scale, w2 * scale,
+                           (size / c) ** -nu1 * inside])
+        dest += [l1 - 1, l2 - 1, top]
+        live += [inside & (w1 != 0), inside & (w2 != 0), inside]
+    if not hat:                               # 1 - E rides in the weights
+        frag_w *= 1.0 - prob.params["value"]
+    shift = np.array(dest) - np.arange(N)
+    off = np.any(np.array(live) & (shift != offset[:len(dest), None]), axis=0)
     D = np.max(off.nonzero()[0] + 1, initial=0)
 
     def classes(*keys):
@@ -253,16 +273,20 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     lower = np.arange(N) + np.append(shift[0, first], 0)[:, None]
     one = (lower >= N - 1) | np.append(single[first], False)[:, None]
     band_class = [np.minimum(lower, N - 1) + N * one]
-    if S == 5:
-        # F fragment classes, runs of one shift of the partial cell's lower
-        # bracket (a cell lower where both of (0, d)'s clamp onto cell 0)
-        # and top cell; rows Q + 1 + k F + f: f's lower, upper, N + top
-        shift[2:4] = shift[2] - ((dest[2] == 0) & (dest[3] == 0)) + np.c_[0:2]
+    if not daughter.per_parent:
+        # fragment classes, runs of one shift of the partial cell's lower
+        # bracket and of the top cell, then class F off the band; rows
+        # Q + 1 + 3 f + k: f's lower and upper bracket as 1 + the cell (0
+        # and N + 1 the edge columns -1 and N), N + 2 + its top cell
         fcls, first = classes(shift[2], shift[4])
         F = first.size
-        cells = np.arange(N) + shift[2:, first, None]
-        band_class += [(np.clip(cells, 0, N - 1, out=cells)
-                        + base[2:, None, None]).reshape(-1, N), fcls]
+        sh = np.append(shift[[2, 4]][:, first], [[-1], [0]], axis=1)
+        cells = np.arange(N) + sh[[0, 0, 1]].T[:, :, None]
+        cells[:, 1] += 1
+        np.clip(cells[:, :2], -1, N, out=cells[:, :2])
+        np.clip(cells[:, 2], 0, N - 1, out=cells[:, 2])
+        cells += np.array([1, 1, N + 2])[:, None]
+        band_class += [cells.reshape(-1, N), fcls]
         del cells                     # before the pair blocks
     band_class = np.vstack(band_class + [cls])
 
@@ -280,6 +304,9 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
     p = i // _PANEL_ROWS
     # block b's entry (i, j) is gain_w[at[i] + b W_p + j], W_p = wide[p]
     at = panel_off[1, p] + (i - r[p]) * n_blk * wide[p] - r[p] - D
+    # a weight this close to its pair's is its pair's: the tie rule moves
+    # at most _TIE_ULPS ulps of a centre between the brackets
+    tol = _TIE_ULPS * np.finfo(float).eps * e[1] / (e[1] - e[0])
 
     # offgrid_loss drops the rate cap and keeps the raw kernel in the loss
     # term: pairs whose product leaves the grid still collide but produce
@@ -316,50 +343,94 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
             band_rate[b, db, ib] = v[band]
             gain_w[cell + b * width] = v[off]
 
-        put(0, K)                     # the death triangle
+        if brk or not hat:
+            put(0, K)                 # the death triangle
         K[~live] = 0.0                # the gain rate, under offgrid_loss too
-        # F reads E(c_i, c_j), i <= j, as coalescence does
+        # F reads E(c_i, c_j), i <= j, as coalescence does; a pair law's
+        # fragments read F, or K with 1 - E in the weights
         E = eval_E(prob, x, y)
-        if n_tri == 2:
-            put(1, (1.0 - E) * K)
+        fall = (1.0 - E) * K if hat else K
         if hat:
+            put(brk, fall)
             put(hat, E * K)
-        out = streams(x, y, K, E)
-        # every live stream must land where the band's classes or the rule
-        # off it put it: a band pair's coalescence at l and l + 1, or at l
-        # alone where its class's cell is N + l
+        # every live coalescence lands where the band's classes or the rule
+        # off it put it: a band pair's at l and l + 1, or at l alone where
+        # its class's cell is N + l
+        out = streams(x, y)
         lo = band_class[cls[db], jb]
         for g, (dest_k, w, live_k) in enumerate(out):
-            lands = base[g] + ju + offset[g]
-            lands[band] = (lo % N + g if g < 2 else
-                           band_class[Q + 1 + F * (g - 2) + fcls[db], jb])
+            lands = ju + offset[g]
+            lands[band] = lo % N + g
             if np.any(live_k & (dest_k != lands)):
                 raise RuntimeError("a pair lands off the band and the blocks")
-            if g >= 2:
-                put(frag0 + g - 2, w)
         # a band pair's coalescence splits between its class's brackets,
         # unless the class is a tie or its lower bracket is the top cell
         if np.any(out[1][2][band] != (live[band] & (lo < N))):
             raise RuntimeError("a band pair's coalescence leaves its class's "
                                "brackets")
-        del out, dest_k, w, live_k    # before the next block's streams
+        if not daughter.per_parent:
+            _check_fragments(daughter, grid, x, y, K, E,
+                             fall * frag_w[:, d],
+                             band_class[Q + 1:-2].reshape(F + 1, 3, N)[
+                                 fcls[d], :, ju].T, tol)
+        del out, dest_k, w, live_k, fall  # before the next block's streams
     lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
         n_trunc=float(n_trunc), offgrid_loss=offgrid_loss, gain_w=gain_w,
-        panel_off=panel_off, parent_w=parent_w, band_rate=band_rate,
+        panel_off=panel_off, frag_w=frag_w, band_rate=band_rate,
         band_class=band_class, lump_dest=lump_dest, lump_w=lump_w)
 
 
+def _check_fragments(daughter, grid, x, y, K, E, model, cells, tol):
+    """Raise unless the pairs of sizes x <= y at the gain rate K and
+    coalescence probability E deposit what the weights per offset give
+    them: ``model`` (3, M), the partial cell's brackets and the top cell
+    (times y^-(nu+1) here), at ``cells`` (3, M) of ``band_class``, the
+    edge columns folded onto the end cells by mass.  Each cell must hold
+    its exact weight within ``tol`` of the pair's fragment number, and the
+    top cell within ``tol`` of its weight, both at E = 0."""
+    N = grid.cell_count
+    e = grid.edges
+    top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, x + y)
+    unit = K * (x + y) ** -(daughter.nu + 1.0)
+    frag = unit * (1.0 - E)
+    lo, up = cells[:2] - 1
+    ml = model[0] * np.where(lo < 0, e[0] / e[1], 1.0)
+    mu = model[1] * np.where(up >= N, e[-1] / e[-2], 1.0)
+    lo, up = np.clip(lo, 0, N - 1), np.clip(up, 0, N - 1)
+    same = lo == up
+    w1, w2 = frag * pw1, frag * pw2
+    at_lo = w1 * (pl1 == lo) + w2 * (pl2 == lo) - ml - mu * same
+    at_up = np.where(same, 0.0, w1 * (pl1 == up) + w2 * (pl2 == up) - mu)
+    stray = (((w1 != 0) & (pl1 != lo) & (pl1 != up))
+             | ((w2 != 0) & (pl2 != lo) & (pl2 != up))
+             | ((frag != 0) & (cells[2] - N - 2 != top)))
+    if np.any(stray):
+        raise RuntimeError("a pair lands off the band and the blocks")
+    nu = daughter.nu
+    bound = tol * K * ((nu + 2.0) / (nu + 1.0))
+    if np.any((np.abs(at_lo) > bound) | (np.abs(at_up) > bound)
+              | (np.abs(model[2] * y ** -(daughter.nu + 1.0) - frag)
+                 > tol * unit)):
+        raise RuntimeError("a pair's fragments differ from its offset's "
+                           "weights")
+
+
 def _rows(prob: ProbSpec, offgrid_loss: bool, per_parent: bool):
-    """The tables stored, as rows of ``band_rate`` and blocks of a panel:
-    the death triangle, F unless 1 - E rides in ``parent_w``, Ê unless it
-    is E times the death triangle (row 0), a pair law's three fragment
-    streams.  Returns (triangles, Ê's row, first fragment row, rows)."""
-    shared = prob.form == "constant" and not offgrid_loss
-    n_tri = 1 + (per_parent and not shared)
-    frag0 = n_tri + (not shared)
-    return n_tri, 0 if shared else n_tri, frag0, frag0 + 3 * (not per_parent)
+    """The rate tables stored, as rows of ``band_rate`` and blocks of a
+    panel.  Under a constant E without ``offgrid_loss``, the death
+    triangle K alone (Ê is E K, and 1 - E rides in ``frag_w``); else per
+    parent K, F = (1 - E) K and Ê = E K; a pair law with ``offgrid_loss``
+    the same (K holds the collisions off the grid, which break nothing),
+    and otherwise F and Ê, whose sum is K.  Returns (triangles, F's row,
+    Ê's row, rows): the triangles are applied from both sides, into the
+    death rate or, per parent, triangle 1 into F n."""
+    if prob.form == "constant" and not offgrid_loss:
+        return 1, 0, 0, 1
+    if per_parent:
+        return 2, 1, 2, 3
+    return (1, 1, 2, 3) if offgrid_loss else (2, 0, 1, 2)
 
 
 def _rates(tables: OperatorTables, density: np.ndarray):
@@ -371,37 +442,52 @@ def _rates(tables: OperatorTables, density: np.ndarray):
     number = density * g.widths
     rate = tables.band_rate
     D = rate.shape[1]
-    n_tri, hat, frag0, _ = _rows(tables.prob, tables.offgrid_loss,
-                                 tables.parent_w is not None)
+    per_parent = tables.daughter.per_parent
+    n_tri, brk, hat, _ = _rows(tables.prob, tables.offgrid_loss, per_parent)
     pairs = np.array([number, c * number])
-    # the death rate and F n; the fragment gains at j - 1, j and top cell j
-    sums = np.zeros((5, N))
-    frag = sums[2:]
+    # the death rate and F n
+    sums = np.zeros((2, N))
     # sum_i n_i Ê_ij and sum_i c_i n_i Ê_ij off the band
     coag = np.zeros((2, N))
     rows, off = tables.panel_off.tolist()
+    if not per_parent:
+        # off the band, sum_i n_i F_ij w_k(j - i) per stream k: the pair
+        # law's weights per offset as a Toeplitz view per panel, which
+        # reads them backwards from d = D, with rows[1] zeros before d = 0
+        frag = np.zeros((3, N))
+        pad = rows[1]
+        omega = np.zeros((3, pad + N))
+        omega[:, pad:] = tables.frag_w
     for r0, r1, o0, o1 in zip(rows, rows[1:], off, off[1:]):
         W = N - D - r0
         if W <= 0:
             break
         panel = tables.gain_w[o0:o1].reshape(r1 - r0, -1)
-        # row 0 gives the triangles' upper sides and the fragment gains,
-        # both rows the sums of Ê
+        # row 0 gives the triangles' upper sides, both rows the sums of Ê
         Y = pairs[:, r0:r1] @ panel
         for b in range(n_tri):
-            sums[b, r0 + D:] += Y[0, b * W:(b + 1) * W]
-            sums[b, r0:r1] += panel[:, b * W:(b + 1) * W] @ number[r0 + D:]
+            into = sums[b if per_parent else 0]
+            into[r0 + D:] += Y[0, b * W:(b + 1) * W]
+            into[r0:r1] += panel[:, b * W:(b + 1) * W] @ number[r0 + D:]
         # adding into a view skips the copy back of ``a[:, i:] += ...``
         cols = coag[:, r0 + D:]
         cols += Y[:, hat * W:(hat + 1) * W]
-        if tables.parent_w is None:
-            gains = frag[:, r0 + D:]
-            gains += Y[0, frag0 * W:].reshape(3, W)
+        if not per_parent:
+            # rows past the panel's width hold only its zero corner
+            m = min(r1 - r0, W)
+            F = panel[:m, brk * W:(brk + 1) * W]
+            shifted = np.ndarray((3, m, W), buffer=omega,
+                                 offset=8 * (pad + D),
+                                 strides=(omega.strides[0], -8, 8))
+            weighted = np.empty_like(F)
+            for k in range(3):
+                np.multiply(F, shifted[k], out=weighted)
+                gains = frag[k, r0 + D:]
+                gains += number[r0:r0 + m] @ weighted
+            del weighted
     # numbers lumped by cell l (N + l: on l alone), and their heights
     # (c_i + c_j - c_l) over the lower bracket
     lumps = np.zeros((2, 2 * N))
-    # the band's fragments by cell, then by top cell at N + t
-    landed = np.zeros(2 * N + 1)
     scale = number if hat else number * tables.prob.params["value"]
 
     def deposit(part, cells):
@@ -418,14 +504,30 @@ def _rates(tables: OperatorTables, density: np.ndarray):
         lumps[0] += np.bincount(cells.ravel(), A, 2 * N)
         lumps[1] += np.bincount(cells.ravel(), rise, 2 * N)
 
+    cls = tables.band_class[-1]
+    Q = cls[D - 1] + 1 if D else 0
+    if not per_parent:
+        # fragments land on the cells of their class's rows in band_class,
+        # (classes, streams, N) from row Q + 1, the last class off the
+        # band: times n_j, and c_j^-(nu+1) in the top cell's stream
+        fcls = tables.band_class[-2]
+        cells = tables.band_class[Q + 1:-2].reshape(-1, 3, N)
+        top_scale = number * c ** -(tables.daughter.nu + 1.0)
+
+        def land(sums, cells):
+            """Add the class sums (classes, 3, N) to ``landed``."""
+            sums[:, :2] *= number
+            sums[:, 2] *= top_scale
+            landed[:] += np.bincount(cells.ravel(), sums.ravel(), 2 * N + 3)
+
+        landed = np.zeros(2 * N + 3)
+        land(frag[None], cells[-1:])
     if not D:                                # class Q = 0 alone
         deposit(coag[:, None], tables.band_class[:1])
     else:
         # the smaller partner i reads row d of band_rate at i against
         # n_{i + d}; the larger j reads it at j - d, through a view of
         # row stride N whose entries j < d are the zeros past the grid
-        cls = tables.band_class[-1]
-        Q = cls[D - 1] + 1
         apart = np.zeros((2, D + N + D))     # (n, c n), D zeros each side
         apart[:, D:D + N] = pairs
         ahead = np.ndarray((D, N), buffer=apart, offset=8 * D,
@@ -436,36 +538,38 @@ def _rates(tables: OperatorTables, density: np.ndarray):
                             strides=(rate.strides[0], 8 * N, 8))
         # member[q, d]: diagonal d is in class q; no diagonal in class Q
         member = (cls[:D] == np.arange(Q + 1)[:, None]) * 1.0
-        # n_i times Ê, then times the fragment weights of a pair law
-        prod = np.empty((len(rate) - hat, min(D, _BAND_DIAGONALS), N))
-        if len(prod) > 1:
-            # the fragment classes' sums, three streams each
-            fcls = tables.band_class[-2]
-            fmember = (fcls[:D] == np.arange(fcls[D - 1] + 1)[:, None]) * 1.0
-            fsum = np.empty((3, len(fmember), N))
+        # n_i times Ê, then times the breakage rate of a pair law where
+        # it is not the death rate
+        prod = np.empty((1 + (not per_parent and hat > 0),
+                         min(D, _BAND_DIAGONALS), N))
+        if not per_parent:
+            # the weights per offset of each fragment class's diagonals
+            weights = ((fcls[:D] == np.arange(len(cells) - 1)[:, None, None])
+                       * tables.frag_w[:, :D])
         for d0 in range(0, D, _BAND_DIAGONALS):
             d1 = min(d0 + _BAND_DIAGONALS, D)
             n = d1 - d0
             for b in range(n_tri):
-                sums[b] += np.vecdot(rate[b, d0:d1, :N], ahead[d0:d1],
-                                     axis=0)
+                into = sums[b if per_parent else 0]
+                into += np.vecdot(rate[b, d0:d1, :N], ahead[d0:d1], axis=0)
                 if b or hat:
-                    sums[b] += np.vecdot(larger[b, d0:d1], behind[0, d0:d1],
-                                         axis=0)
+                    into += np.vecdot(larger[b, d0:d1], behind[0, d0:d1],
+                                      axis=0)
             # the sums of the chunk's classes, a class's part of them; the
             # last chunk's take the pairs off the band, class Q, along
             q0, q1 = cls[d0], cls[d1 - 1] + 1 if d1 < D else Q + 1
             part = np.empty((2, q1 - q0, N))
-            np.multiply(larger[hat:, d0:d1], behind[0, d0:d1],
-                        out=prod[:, :n])
+            np.multiply(larger[hat, d0:d1], behind[0, d0:d1], out=prod[0, :n])
             np.matmul(member[q0:q1, d0:d1], prod[0, :n], out=part[0])
-            if len(prod) > 1:
-                # a class begun in the last chunk keeps its sum so far
+            if not per_parent:
+                # n_i times the breakage rate, F or K with 1 - E in the
+                # weights; its sums weighted per offset by class
+                brk_n = prod[-1, :n]
+                if hat:
+                    np.multiply(larger[brk, d0:d1], behind[0, d0:d1],
+                                out=brk_n)
                 f0, f1 = fcls[d0], fcls[d1 - 1] + 1
-                begun = fsum[:, f0].copy() if d0 and fcls[d0 - 1] == f0 else 0
-                np.matmul(fmember[f0:f1, d0:d1], prod[1:, :n],
-                          out=fsum[:, f0:f1])
-                fsum[:, f0] += begun
+                land(weights[f0:f1, :, d0:d1] @ brk_n, cells[f0:f1])
             np.multiply(larger[hat, d0:d1], behind[1, d0:d1], out=prod[0, :n])
             np.matmul(member[q0:q1, d0:d1], prod[0, :n], out=part[1])
             if not hat:
@@ -473,27 +577,30 @@ def _rates(tables: OperatorTables, density: np.ndarray):
             if d1 == D:
                 part[:, -1] += coag
             deposit(part, tables.band_class[q0:q1])
-        if len(prod) > 1:
-            # times n_j, on the classes' cells
-            fsum *= number
-            landed = np.bincount(tables.band_class[Q + 1:-2].ravel(),
-                                 fsum.ravel(), 2 * N + 1)
-    sums[2:] *= number
-    if tables.parent_w is not None:
-        # n_j times (F n)_j breaks parent j, or the death rate K n with
-        # the constant 1 - E in parent_w
-        frag = tables.parent_w * (number * sums[n_tri - 1])
     # a lump at l of height h and number n: n - h / (c_{l+1} - c_l) there
     # and h / (c_{l+1} - c_l) at l + 1, or all of it on l alone, as
     # (n c_l + h) / c_l
     num, rise = lumps
     up = rise[:N - 1] / (c[1:] - c[:-1])
-    gain = num[:N] + num[N:] + rise[N:] / c + frag[1]
-    gain[:-1] += frag[0, 1:] - up
+    gain = num[:N] + num[N:] + rise[N:] / c
+    if per_parent:
+        # n_j times (F n)_j breaks parent j, or the death rate K n with
+        # the constant 1 - E in frag_w; at j - 1, j and top cell j
+        frag = tables.frag_w * (number * sums[n_tri - 1])
+        gain += frag[1]
+        gain[:-1] += frag[0, 1:] - up
+        top = np.zeros(N + 1)
+        top[:-1] += frag[2]
+    else:
+        gain[:-1] -= up
+        # landed: 1 + cell l, N + 2 + top cell t; the edge columns, cells
+        # -1 and N, fold onto the end cells keeping mass
+        e = g.edges
+        gain += landed[1:N + 1]
+        gain[0] += landed[0] * (e[0] / e[1])
+        gain[-1] += landed[N + 1] * (e[-1] / e[-2])
+        top = landed[N + 2:]
     gain[1:] += up
-    gain += landed[:N]
-    top = landed[N:]
-    top[:-1] += frag[2]
     # top cell t receives the lump and every complete cell below t
     above = np.cumsum(top[::-1])[::-1]
     gain += np.bincount(tables.lump_dest,
@@ -580,7 +687,7 @@ _DP_P = np.array([
 _CLIP_LIMIT = 1e-15
 _DT_MIN = 1e-12                      # step-size underflow guard, per horizon
 _MAX_RHS_CALLS = 40_000              # work bound of one integration
-_PAIR_BLOCK = 2 ** 12                # upper-triangle pairs per build block
+_PAIR_BLOCK = 2 ** 11                # upper-triangle pairs per build block
 _PANEL_ROWS = 128                    # pair triangle rows per panel
 _BAND_DIAGONALS = 32                 # band diagonals per chunk
 _TIE_ULPS = 1024                     # a lump this close to a center sits on it

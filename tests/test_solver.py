@@ -93,23 +93,27 @@ def dense_fragments(tables):
 def dense_panels(tables):
     """The pair tables read back as dense (N, N) arrays: the death kernel,
     the stored upper triangle mirrored with its halved diagonal doubled
-    back; Ê, the coalescence rate of each pair i <= j (E times the death
-    triangle where no table of its own is stored); the fragment weights
-    (n, N, N), entry [b, i, j] the weight of the pair (i, j) in stream b,
-    on the band and off it; and F, the per-parent breakage rate (1 - E) K
-    mirrored as the death kernel is (None where 1 - E rides in
-    ``parent_w``).  The row panels hold the pairs j - i >= D, each block
-    of panel p one width N - D - r_p from column r_p + D, and ``band_rate``
-    the pairs j - i < D, both in the table order of ``_rows``; the reader
-    asserts that layout, a zero corner in every panel and nothing past the
-    grid in the band."""
+    back (the sum of F and Ê where a pair law stores those two); Ê, the
+    coalescence rate of each pair i <= j (E times the death triangle
+    where no table of its own is stored); the fragment weights (n, N, N),
+    entry [b, i, j] the weight of the pair i <= j in stream b, on the band
+    and off it: its breakage rate (F, or the death rate with 1 - E in the
+    weights) times the weight of its offset j - i, times c_j^-(nu+1) in
+    the top cell's stream (none per parent); and F, the per-parent
+    breakage rate (1 - E) K mirrored as the death kernel is (None where
+    1 - E rides in ``frag_w``, and under a pair law).  The row panels hold
+    the pairs j - i >= D, each block of panel p one width N - D - r_p
+    from column r_p + D, and ``band_rate`` the pairs j - i < D, both in
+    the table order of ``_rows``; the reader asserts that layout, a zero
+    corner in every panel and nothing past the grid in the band."""
     N = tables.grid.cell_count
     rate = tables.band_rate
     D = rate.shape[1]
     rows, off = tables.panel_off
     assert rows[0] == 0 and rows[-1] == N and off[-1] == tables.gain_w.size
-    n_tri, hat, n_rate, n_blk = solver._rows(
-        tables.prob, tables.offgrid_loss, tables.parent_w is not None)
+    per_parent = tables.daughter.per_parent
+    n_tri, brk, hat, n_blk = solver._rows(
+        tables.prob, tables.offgrid_loss, per_parent)
     assert len(rate) == n_blk
     tabs = np.zeros((n_blk, N, N))
     for r0, r1, o0, o1 in zip(rows, rows[1:], off, off[1:]):
@@ -127,29 +131,43 @@ def dense_panels(tables):
     tris = tabs[:n_tri]
     assert not tris[:, i > j].any()
     full = tris + tris.transpose(0, 2, 1)
-    F = full[1] if n_tri > 1 else None
+    F = full[1] if per_parent and n_tri > 1 else None
+    death = full[0] if per_parent else full.sum(axis=0)
     hat = tabs[hat] if hat else tables.prob.params["value"] * tabs[0]
-    return full[0], hat, tabs[n_rate:], F
+    if per_parent:
+        return death, hat, np.zeros((0, N, N)), F
+    assert tables.frag_w.shape == (3, N)
+    blocks = tabs[brk] * tables.frag_w[:, np.maximum(j - i, 0)]
+    blocks[2] *= tables.grid.centers ** -(tables.daughter.nu + 1.0)
+    return death, hat, blocks, F
 
 
 def band_cells(tables):
     """``band_class`` read back: the coalescence class per band diagonal
     and each class's cell per larger partner j (Q + 1 rows, the last off
     the band); under a pair law also the fragment class per band diagonal
-    and each class's cells per j (3, F, N): the partial cell's lower and
-    upper brackets and N + the top cell (None per parent)."""
+    and each class's cells per j (3, F + 1, N), the last off the band: the
+    partial cell's lower and upper brackets, from the edge column -1 to
+    the edge column N, and the top cell (None per parent)."""
     D = tables.band_rate.shape[1]
+    N = tables.grid.cell_count
     cls = tables.band_class[-1]
     Q = cls[D - 1] + 1 if D else 0
     coal = tables.band_class[:Q + 1]
-    if tables.parent_w is not None:
+    if tables.daughter.per_parent:
         assert len(tables.band_class) == Q + 2
         return cls[:D], coal, None, None
     fcls = tables.band_class[-2]
-    F = fcls[D - 1] + 1 if D else 0
-    assert len(tables.band_class) == Q + 1 + 3 * F + 2
-    return (cls[:D], coal, fcls[:D],
-            tables.band_class[Q + 1:-2].reshape(3, F, len(cls)))
+    assert np.all(fcls[D:] == fcls[N - 1])
+    F = fcls[N - 1] if D < N else fcls[D - 1] + 1
+    assert len(tables.band_class) == Q + 1 + 3 * (F + 1) + 2
+    cells = tables.band_class[Q + 1:-2].reshape(F + 1, 3, N).transpose(
+        1, 0, 2)
+    # brackets as 1 + the cell, the top cell at N + 2 + t
+    assert 0 <= cells[:2].min() and cells[:2].max() <= N + 1
+    assert N + 2 <= cells[2].min() and cells[2].max() < 2 * N + 2
+    return cls[:D], coal, fcls[:D], cells - np.array([1, 1, N + 2])[:, None,
+                                                                      None]
 
 
 def _reference_rhs(tables, density):
@@ -359,35 +377,123 @@ class TestBuildTables:
         assert peak <= 1.4 * _held_bytes(t)
 
     def test_build_transient_of_the_linear_workload(self):
-        # what one pair block keeps alive beside the 2.17 MB of tables
-        # the build returns: about 270 B per pair
+        # what one pair block keeps alive beside the 0.66 MB of tables
+        # the build returns: about 350 B per pair of a 2048-pair block,
+        # the fragment check's exact streams included
         tracemalloc.start()
         try:
             t = _tables(bc.make_grid(1e-4, 1e3, 300))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - _held_bytes(t) <= 2.5e6
+        assert peak - _held_bytes(t) <= 1.0e6
+
+    def test_rhs_transient_of_the_linear_workload(self):
+        # one right-hand side at N = 300 holds no table-sized temporary:
+        # its largest are one panel's fragment product and one chunk of
+        # band diagonals
+        g = bc.make_grid(1e-4, 1e3, 300)
+        t = _tables(g)
+        density = np.exp(-g.centers)
+        _rhs(t, density)
+        tracemalloc.start()
+        try:
+            _rhs(t, density)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5e6
+
+    @pytest.mark.parametrize("N, kernel, daughter, prob", [
+        (120, bc.KernelSpec.sum_product(-0.25, 0.5),
+         bc.DaughterSpec.power_total(0.0),
+         bc.ProbSpec.small_volume_floor(0.6, 0.2)),
+        (300, bc.KernelSpec.sum_product(0.0, 1.0),
+         bc.DaughterSpec.power_total(0.0), bc.ProbSpec.constant(0.5)),
+        (800, bc.KernelSpec.sum_product(0.0, 1.0),
+         bc.DaughterSpec.power_total(0.0), bc.ProbSpec.constant(0.5)),
+        (120, bc.KernelSpec.product(), bc.DaughterSpec.uniform(),
+         bc.ProbSpec.small_volume_floor(0.9, 0.3)),
+    ], ids=["singular-suite", "linear", "power_total-800", "uniform"])
+    def test_fragment_weights_are_the_pairs_streams(self, N, kernel,
+                                                    daughter, prob):
+        # a pair's breakage rate times its offset's weights (times
+        # c_j^-(nu+1) in the top cell's stream) is its own exact streams,
+        # on the band and off it, to 1e-14 of its fragment number; the
+        # brackets of a pair whose exact deposit clamps onto an end cell
+        # land on the edge column past it, and fold back by mass
+        g = bc.make_grid(1e-4, 1e3, N)
+        t = _tables(g, kernel=kernel, daughter=daughter, prob=prob)
+        c, e = g.centers, g.edges
+        _, _, blocks, _ = dense_panels(t)
+        D = t.band_rate.shape[1]
+        fcls = t.band_class[-2]
+        _, _, _, cells = band_cells(t)
+        i, j = np.triu_indices(N)
+        K, _, E = dense_kernels(t)
+        rate = np.where(i == j, 0.5, 1.0) * K[i, j]
+        s = c[i] + c[j]
+        top, pl1, pl2, pw1, pw2 = _frag_partial(t.daughter, g, s)
+        frag = rate * (1.0 - E[i, j]) * s ** -(daughter.nu + 1.0)
+        lower, upper, at = cells[:, fcls[j - i], j]
+        # the brackets' weights and cells, the edge columns folded
+        ml = blocks[0, i, j] * np.where(lower < 0, e[0] / e[1], 1.0)
+        mu = blocks[1, i, j] * np.where(upper >= N, e[-1] / e[-2], 1.0)
+        lower, upper = np.clip(lower, 0, N - 1), np.clip(upper, 0, N - 1)
+        same = lower == upper
+        w1, w2 = frag * pw1, frag * pw2
+        assert not np.any((w1 != 0) & (pl1 != lower) & (pl1 != upper))
+        assert not np.any((w2 != 0) & (pl2 != lower) & (pl2 != upper))
+        at_lower = w1 * (pl1 == lower) + w2 * (pl2 == lower) - ml - mu * same
+        at_upper = np.where(same, 0.0,
+                            w1 * (pl1 == upper) + w2 * (pl2 == upper) - mu)
+        number = rate * ((daughter.nu + 2.0) / (daughter.nu + 1.0))
+        assert np.all(np.abs(at_lower) <= 1e-14 * number)
+        assert np.all(np.abs(at_upper) <= 1e-14 * number)
+        assert np.all((at == top) | (frag == 0))
+        assert np.all(np.abs(blocks[2, i, j] - frag)
+                      <= 1e-14 * rate * s ** -(daughter.nu + 1.0))
+        # some pairs sit on the band, the others off it
+        assert 0 < D < N
+
+    def test_a_pair_off_its_offsets_weights_raises(self, monkeypatch):
+        # one interior pair's partial-cell weight moved by 1e-9: the build
+        # checks every pair against its offset's weights
+        g = bc.make_grid(1e-4, 1e3, 120)
+        c = g.centers
+        exact = solver._frag_partial
+
+        def moved(daughter, grid, s, centers=None):
+            out = list(exact(daughter, grid, s, centers))
+            pair = np.asarray(s) == c[30] + c[70]
+            out[3] = np.where(pair, out[3] * (1.0 + 1e-9), out[3])
+            return tuple(out)
+
+        monkeypatch.setattr(solver, "_frag_partial", moved)
+        with pytest.raises(RuntimeError, match="offset's weights"):
+            _tables(g)
 
     def test_gain_panels_hold_the_pair_triangle(self):
-        # the linear workload's operator: the death triangle and three
-        # fragment blocks of the pairs j - i >= D, and no coalescence
-        # block, as Ê is E times the death triangle; the band holds the
-        # same four tables of the pairs j - i < D, and band_class the
-        # cells of the coalescence and fragment classes
+        # the linear workload's operator: the death triangle of the pairs
+        # j - i >= D, and no coalescence or fragment block, as Ê is E
+        # times the death triangle and the fragments its rate times the
+        # weights per offset; the band holds the same table of the pairs
+        # j - i < D, and band_class the cells of the coalescence and
+        # fragment classes, each with one more class off the band
         N = 300
         t = _tables(bc.make_grid(1e-4, 1e3, N))
         D, B = t.band_rate.shape[1], solver._PANEL_ROWS
         rows = np.append(np.arange(0, N, B), N)
-        # four blocks of one width per panel, from its first row's
+        # one block of one width per panel, from its first row's
         # diagonal D on, zero corner included
-        cells = np.diff(rows) * 4 * np.maximum(N - D - rows[:-1], 0)
+        cells = np.diff(rows) * np.maximum(N - D - rows[:-1], 0)
         assert t.gain_w.size == cells.sum()
         assert np.array_equal(t.panel_off, [rows, np.append(0, np.cumsum(
             cells))])
-        assert t.band_rate.shape == (4, D, N + 1)
+        assert t.band_rate.shape == (1, D, N + 1)
+        assert t.frag_w.shape == (3, N)
         cls, coal, fcls, frag = band_cells(t)
-        assert len(coal) == cls[-1] + 2 and frag.shape == (3, fcls[-1] + 1, N)
+        assert len(coal) == cls[-1] + 2 and frag.shape == (3, fcls[-1] + 2, N)
 
     def test_fine_grid_operator_holds_the_kernel_once(self):
         # the fine-grid workload's operator: per-parent, constant E, so the
@@ -470,12 +576,13 @@ class TestBuildTables:
                       <= 1e-12 * (np.abs(ref + death) + death))
         if grid[2] == 3:
             # diagonal 0's fragment class: the pair (0, 0) has a lower
-            # bracket weight, and both its brackets land on cell 0, as
-            # does the lower one of (1, 1)
-            _, _, fcls, frag = band_cells(t)
-            lower, upper, _ = frag[:, fcls[0]]
-            assert t.band_rate[solver._rows(t.prob, False, False)[2], 0, 0] > 0
-            assert lower[0] == upper[0] == lower[1] == 0
+            # bracket weight, which lands on the edge column -1 and folds
+            # onto cell 0, where its upper one and the lower one of (1, 1)
+            # land
+            _, _, _, frag = band_cells(t)
+            lower, upper, _ = frag[:, t.band_class[-2, 0]]
+            assert t.frag_w[0, 0] > 0
+            assert lower[0] == -1 and upper[0] == lower[1] == 0
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     @pytest.mark.parametrize("grid, kw, rate", [
@@ -546,11 +653,11 @@ class TestBuildTables:
                         t = bc.build_tables(
                             g, bc.KernelSpec.sum_product(0.0, 1.0), n_trunc,
                             daughter, bc.ProbSpec.constant(0.5))
-                        # the upper bracket of the pair (0, 0) clamped
-                        # onto cell 0 with the lower one
+                        # the lower bracket of the pair (0, 0) on the
+                        # edge column -1, its upper one on cell 0
                         _, _, fcls, frag = band_cells(t)
-                        clamps += (fcls is not None and fcls.size > 0
-                                   and frag[1, fcls[0], 0] == 0)
+                        clamps += (fcls is not None and frag[
+                            0, t.band_class[-2, 0], 0] == -1)
         assert clamps > 0
 
     @pytest.mark.parametrize("daughter", [
@@ -631,13 +738,13 @@ class TestBuildTables:
     @pytest.mark.parametrize("N, kernel, daughter, prob, megabytes", [
         (120, bc.KernelSpec.sum_product(-0.25, 0.5),
          bc.DaughterSpec.power_total(0.0),
-         bc.ProbSpec.small_volume_floor(0.6, 0.2), 0.61),
+         bc.ProbSpec.small_volume_floor(0.6, 0.2), 0.30),
         (300, bc.KernelSpec.sum_product(0.0, 1.0),
-         bc.DaughterSpec.power_total(0.0), bc.ProbSpec.constant(0.5), 2.18),
+         bc.DaughterSpec.power_total(0.0), bc.ProbSpec.constant(0.5), 0.75),
         (800, bc.KernelSpec.sum_product(0.0, 1.0),
          bc.DaughterSpec.power_each(0.0), bc.ProbSpec.constant(0.5), 3.311),
         (800, bc.KernelSpec.sum_product(0.0, 1.0),
-         bc.DaughterSpec.power_total(0.0), bc.ProbSpec.constant(0.5), 13.31),
+         bc.DaughterSpec.power_total(0.0), bc.ProbSpec.constant(0.5), 4.5),
     ], ids=["singular-suite", "linear", "fine-grid", "power_total-800"])
     def test_no_stored_table_row_is_zero(self, N, kernel, daughter, prob,
                                          megabytes):
@@ -653,7 +760,7 @@ class TestBuildTables:
             if N - D - r0 > 0:
                 blocks = t.gain_w[o0:o1].reshape(r1 - r0, n_blk, -1)
                 assert blocks.any(axis=(0, 2)).all()
-        assert t.parent_w is None or t.parent_w.any(axis=1).all()
+        assert t.frag_w.any(axis=1).all()
         assert t.lump_w.any()
         assert _held_bytes(t) <= megabytes * 1e6
 
