@@ -48,8 +48,11 @@ Design notes
   the pair (0, d) on the centres extended by one cell at either end, for
   the partial cell's lower and upper brackets and the top cell, whose
   stream also takes c_j^-(nu+1) per column.  Off the band they land at
-  j - 1, j and the top cell j, each summed per panel as n times the
-  panel's F times a Toeplitz view of ``frag_w``; on the band at one
+  j - 1, j and the top cell j: the panel GEMM sums A = sum_i n_i F_ij
+  and B = sum_i c_i n_i F_ij, one product with a Toeplitz view of the
+  top cell's weights sums T = sum_i n_i F_ij w(j - i), and the partial
+  cell's number and mass follow from A, B and T in closed form, lumped
+  on its lower bracket as coalescence is.  On the band they land at one
   shift of j per diagonal and stream, in fragment classes summed by
   GEMMs with the class membership weighted by ``frag_w``.  A pair whose
   brackets clamp onto an end cell splits onto the cell past it, the
@@ -176,17 +179,23 @@ def _frag_lumps(daughter: DaughterSpec, grid: Grid):
             np.concatenate(([e[0] ** (nu + 2.0) / grid.centers[0]], w1, w2)))
 
 
-def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray,
-                  centers=None):
+def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
     """Top cell t and remapped partial-cell deposit [e_t, s] for pair
-    sizes s (at least 2 c_0), on ``centers`` (the grid's by default).  A
-    size within ``_TIE_ULPS`` ulps above an edge keeps the cell below as
-    its top cell, so rounding picks no top cell; its partial cell then
-    spans that whole cell, and is never empty."""
+    sizes s (at least 2 c_0).  A size within ``_TIE_ULPS`` ulps above an
+    edge keeps the cell below as its top cell, so rounding picks no top
+    cell; its partial cell then spans that whole cell, and is never
+    empty."""
     e = grid.edges
     t = np.searchsorted(e + _TIE_ULPS * np.spacing(e), s) - 1
-    return (t, *_frag_lump(daughter.nu, grid.centers if centers is None
-                           else centers, e[t], s))
+    return (t, *_frag_lump(daughter.nu, grid.centers, e[t], s))
+
+
+def _edge_fold(grid: Grid) -> np.ndarray:
+    """Mass factors e_0 / e_1 and e_N / e_{N-1} of the edge columns -1 and
+    N, a cell past either end of the grid: a deposit there folds onto the
+    end cell keeping mass."""
+    e = grid.edges
+    return np.array([e[0] / e[1], e[-1] / e[-2]])
 
 
 def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
@@ -237,9 +246,11 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         # at either end, where no partial cell clamps.  A pair whose
         # brackets clamp onto an end cell splits onto the cell past it,
         # the edge column -1 or N, which folds onto the end cell by mass
-        ext = np.r_[c[0] * e[0] / e[1], c, c[-1] * e[-1] / e[-2]]
+        fold = _edge_fold(grid)
+        ext = np.r_[c[0] * fold[0], c, c[-1] * fold[1]]
         size = c[0] + c
-        top, l1, l2, w1, w2 = _frag_partial(daughter, grid, size, ext)
+        top = _frag_partial(daughter, grid, size)[0]
+        l1, l2, w1, w2 = _frag_lump(daughter.nu, ext, e[top], size)
         inside = size < n_trunc
         scale = np.where(inside, size ** -nu1, 0.0)
         # the top cell's stream is (c_i + c_j)^-(nu+1), c_j^-(nu+1) applied
@@ -368,12 +379,14 @@ def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
         if np.any(out[1][2][band] != (live[band] & (lo < N))):
             raise RuntimeError("a band pair's coalescence leaves its class's "
                                "brackets")
+        # the coalescence's streams and masks go before the fragment check
+        del out, dest_k, w, live_k, lands, lo, band, off, db, ib, jb, cell
         if not daughter.per_parent:
             _check_fragments(daughter, grid, x, y, K, E,
                              fall * frag_w[:, d],
                              band_class[Q + 1:-2].reshape(F + 1, 3, N)[
                                  fcls[d], :, ju].T, tol)
-        del out, dest_k, w, live_k, fall  # before the next block's streams
+        del fall                      # before the next block's streams
     lump_dest, lump_w = _frag_lumps(daughter, grid)
     return OperatorTables(
         grid=grid, kernel=kernel, daughter=daughter, prob=prob,
@@ -391,13 +404,13 @@ def _check_fragments(daughter, grid, x, y, K, E, model, cells, tol):
     its exact weight within ``tol`` of the pair's fragment number, and the
     top cell within ``tol`` of its weight, both at E = 0."""
     N = grid.cell_count
-    e = grid.edges
+    fold = _edge_fold(grid)
     top, pl1, pl2, pw1, pw2 = _frag_partial(daughter, grid, x + y)
     unit = K * (x + y) ** -(daughter.nu + 1.0)
     frag = unit * (1.0 - E)
     lo, up = cells[:2] - 1
-    ml = model[0] * np.where(lo < 0, e[0] / e[1], 1.0)
-    mu = model[1] * np.where(up >= N, e[-1] / e[-2], 1.0)
+    ml = model[0] * np.where(lo < 0, fold[0], 1.0)
+    mu = model[1] * np.where(up >= N, fold[1], 1.0)
     lo, up = np.clip(lo, 0, N - 1), np.clip(up, 0, N - 1)
     same = lo == up
     w1, w2 = frag * pw1, frag * pw2
@@ -451,13 +464,14 @@ def _rates(tables: OperatorTables, density: np.ndarray):
     coag = np.zeros((2, N))
     rows, off = tables.panel_off.tolist()
     if not per_parent:
-        # off the band, sum_i n_i F_ij w_k(j - i) per stream k: the pair
-        # law's weights per offset as a Toeplitz view per panel, which
-        # reads them backwards from d = D, with rows[1] zeros before d = 0
-        frag = np.zeros((3, N))
+        # off the band, A = sum_i n_i F_ij, B = sum_i c_i n_i F_ij and the
+        # top cell's stream T = sum_i n_i F_ij w(j - i), its weights per
+        # offset as a Toeplitz view per panel, which reads them backwards
+        # from d = D, with rows[1] zeros before d = 0
+        brk_sums = np.zeros((3, N))
         pad = rows[1]
-        omega = np.zeros((3, pad + N))
-        omega[:, pad:] = tables.frag_w
+        omega = np.zeros(pad + N)
+        omega[pad:] = tables.frag_w[2]
     for r0, r1, o0, o1 in zip(rows, rows[1:], off, off[1:]):
         W = N - D - r0
         if W <= 0:
@@ -465,26 +479,27 @@ def _rates(tables: OperatorTables, density: np.ndarray):
         panel = tables.gain_w[o0:o1].reshape(r1 - r0, -1)
         # row 0 gives the triangles' upper sides, both rows the sums of Ê
         Y = pairs[:, r0:r1] @ panel
-        for b in range(n_tri):
-            into = sums[b if per_parent else 0]
-            into[r0 + D:] += Y[0, b * W:(b + 1) * W]
-            into[r0:r1] += panel[:, b * W:(b + 1) * W] @ number[r0 + D:]
+        if per_parent:
+            for b in range(n_tri):
+                sums[b, r0 + D:] += Y[0, b * W:(b + 1) * W]
+                sums[b, r0:r1] += panel[:, b * W:(b + 1) * W] @ number[r0 + D:]
+        else:
+            # the triangles lead each row and sum into the death rate
+            sums[0, r0 + D:] += Y[0, :n_tri * W].reshape(n_tri, W).sum(axis=0)
+            sums[0, r0:r1] += panel[:, :n_tri * W] @ np.concatenate(
+                [number[r0 + D:]] * n_tri)
         # adding into a view skips the copy back of ``a[:, i:] += ...``
         cols = coag[:, r0 + D:]
         cols += Y[:, hat * W:(hat + 1) * W]
         if not per_parent:
+            cols = brk_sums[:, r0 + D:]
+            cols[:2] += Y[:, brk * W:(brk + 1) * W]
             # rows past the panel's width hold only its zero corner
             m = min(r1 - r0, W)
-            F = panel[:m, brk * W:(brk + 1) * W]
-            shifted = np.ndarray((3, m, W), buffer=omega,
-                                 offset=8 * (pad + D),
-                                 strides=(omega.strides[0], -8, 8))
-            weighted = np.empty_like(F)
-            for k in range(3):
-                np.multiply(F, shifted[k], out=weighted)
-                gains = frag[k, r0 + D:]
-                gains += number[r0:r0 + m] @ weighted
-            del weighted
+            shifted = np.ndarray((m, W), buffer=omega, offset=8 * (pad + D),
+                                 strides=(-8, 8))
+            cols[2] += np.einsum("i,ij,ij->j", number[r0:r0 + m],
+                                 panel[:m, brk * W:(brk + 1) * W], shifted)
     # numbers lumped by cell l (N + l: on l alone), and their heights
     # (c_i + c_j - c_l) over the lower bracket
     lumps = np.zeros((2, 2 * N))
@@ -507,21 +522,35 @@ def _rates(tables: OperatorTables, density: np.ndarray):
     cls = tables.band_class[-1]
     Q = cls[D - 1] + 1 if D else 0
     if not per_parent:
-        # fragments land on the cells of their class's rows in band_class,
-        # (classes, streams, N) from row Q + 1, the last class off the
-        # band: times n_j, and c_j^-(nu+1) in the top cell's stream
+        # off the band the pair (i, j) breaks into top cell j and the
+        # partial cell [e_j, s], s = c_i + c_j, of (nu + 2) / (nu + 1)
+        # (1 - (e_j / s)^(nu + 1)) fragments and mass s - e_j (e_j /
+        # s)^(nu + 1) per unit rate, where (e_j / s)^(nu + 1) is (e_j /
+        # c_j)^(nu + 1) w(j - i): sums of A, B and T.  The partial cells
+        # lump on their lower bracket j - 1, or on cell 0 alone for j = 0,
+        # which keeps the mass of the edge column -1
+        nu1 = tables.daughter.nu + 1.0
+        A, B, T = brk_sums
+        if not hat:                           # 1 - E rides in T's weights
+            brk_sums[:2] *= 1.0 - tables.prob.params["value"]
+        e = g.edges[:-1]
+        lost = (e / c) ** nu1 * T
+        num = (A - lost) * ((nu1 + 1.0) / nu1)
+        part = np.array([num, B + c * A - e * lost
+                         - np.concatenate((c[:1], c[:-1])) * num])
+        part *= number
+        lumps[:, :N - 1] += part[:, 1:]
+        lumps[:, N] += part[:, 0]
+        # the band's fragments land on the cells of their class's rows
+        # in band_class, (classes, streams, N) from row Q + 1: 1 + the
+        # cell l (from the edge column -1 to N) for the partial cell's
+        # brackets, N + 2 + t for the top cell t, whose stream takes
+        # c_j^-(nu+1) per column j, as T does
         fcls = tables.band_class[-2]
-        cells = tables.band_class[Q + 1:-2].reshape(-1, 3, N)
-        top_scale = number * c ** -(tables.daughter.nu + 1.0)
-
-        def land(sums, cells):
-            """Add the class sums (classes, 3, N) to ``landed``."""
-            sums[:, :2] *= number
-            sums[:, 2] *= top_scale
-            landed[:] += np.bincount(cells.ravel(), sums.ravel(), 2 * N + 3)
-
+        cells = tables.band_class[Q + 1:-2].reshape(-1, 3, N)[:-1]
+        top_scale = number * c ** -nu1
         landed = np.zeros(2 * N + 3)
-        land(frag[None], cells[-1:])
+        landed[N + 2:-1] = T * top_scale
     if not D:                                # class Q = 0 alone
         deposit(coag[:, None], tables.band_class[:1])
     else:
@@ -538,42 +567,47 @@ def _rates(tables: OperatorTables, density: np.ndarray):
                             strides=(rate.strides[0], 8 * N, 8))
         # member[q, d]: diagonal d is in class q; no diagonal in class Q
         member = (cls[:D] == np.arange(Q + 1)[:, None]) * 1.0
-        # n_i times Ê, then times the breakage rate of a pair law where
-        # it is not the death rate
+        # n_i times Ê, and times a pair law's breakage rate where that is
+        # a table of its own
         prod = np.empty((1 + (not per_parent and hat > 0),
                          min(D, _BAND_DIAGONALS), N))
         if not per_parent:
             # the weights per offset of each fragment class's diagonals
-            weights = ((fcls[:D] == np.arange(len(cells) - 1)[:, None, None])
+            weights = ((fcls[:D] == np.arange(len(cells))[:, None, None])
                        * tables.frag_w[:, :D])
+            per_j = np.array([number, number, top_scale])
         for d0 in range(0, D, _BAND_DIAGONALS):
             d1 = min(d0 + _BAND_DIAGONALS, D)
             n = d1 - d0
+            for k, b in enumerate((hat, brk)[:len(prod)]):
+                np.multiply(larger[b, d0:d1], behind[0, d0:d1],
+                            out=prod[k, :n])
             for b in range(n_tri):
                 into = sums[b if per_parent else 0]
                 into += np.vecdot(rate[b, d0:d1, :N], ahead[d0:d1], axis=0)
-                if b or hat:
+                # the larger partner's side: a product formed above, else
+                # (K per parent or under offgrid_loss) a product of its own
+                if b == hat or (b == brk and len(prod) > 1):
+                    into += prod[int(b != hat), :n].sum(axis=0)
+                else:
                     into += np.vecdot(larger[b, d0:d1], behind[0, d0:d1],
                                       axis=0)
             # the sums of the chunk's classes, a class's part of them; the
             # last chunk's take the pairs off the band, class Q, along
             q0, q1 = cls[d0], cls[d1 - 1] + 1 if d1 < D else Q + 1
             part = np.empty((2, q1 - q0, N))
-            np.multiply(larger[hat, d0:d1], behind[0, d0:d1], out=prod[0, :n])
             np.matmul(member[q0:q1, d0:d1], prod[0, :n], out=part[0])
             if not per_parent:
                 # n_i times the breakage rate, F or K with 1 - E in the
-                # weights; its sums weighted per offset by class
-                brk_n = prod[-1, :n]
-                if hat:
-                    np.multiply(larger[brk, d0:d1], behind[0, d0:d1],
-                                out=brk_n)
+                # weights; its sums weighted per offset by class, times n_j
+                # (and c_j^-(nu+1)), land on their class's cells
                 f0, f1 = fcls[d0], fcls[d1 - 1] + 1
-                land(weights[f0:f1, :, d0:d1] @ brk_n, cells[f0:f1])
+                frags = weights[f0:f1, :, d0:d1] @ prod[-1, :n]
+                frags *= per_j
+                landed += np.bincount(cells[f0:f1].ravel(), frags.ravel(),
+                                      2 * N + 3)
             np.multiply(larger[hat, d0:d1], behind[1, d0:d1], out=prod[0, :n])
             np.matmul(member[q0:q1, d0:d1], prod[0, :n], out=part[1])
-            if not hat:
-                sums[0] += part[0].sum(axis=0)
             if d1 == D:
                 part[:, -1] += coag
             deposit(part, tables.band_class[q0:q1])
@@ -595,10 +629,8 @@ def _rates(tables: OperatorTables, density: np.ndarray):
         gain[:-1] -= up
         # landed: 1 + cell l, N + 2 + top cell t; the edge columns, cells
         # -1 and N, fold onto the end cells keeping mass
-        e = g.edges
         gain += landed[1:N + 1]
-        gain[0] += landed[0] * (e[0] / e[1])
-        gain[-1] += landed[N + 1] * (e[-1] / e[-2])
+        gain[[0, -1]] += landed[[0, N + 1]] * _edge_fold(g)
         top = landed[N + 2:]
     gain[1:] += up
     # top cell t receives the lump and every complete cell below t
@@ -687,7 +719,7 @@ _DP_P = np.array([
 _CLIP_LIMIT = 1e-15
 _DT_MIN = 1e-12                      # step-size underflow guard, per horizon
 _MAX_RHS_CALLS = 40_000              # work bound of one integration
-_PAIR_BLOCK = 2 ** 11                # upper-triangle pairs per build block
+_PAIR_BLOCK = 2 ** 12                # upper-triangle pairs per build block
 _PANEL_ROWS = 128                    # pair triangle rows per panel
 _BAND_DIAGONALS = 32                 # band diagonals per chunk
 _TIE_ULPS = 1024                     # a lump this close to a center sits on it
