@@ -485,9 +485,12 @@ def _rates(tables: OperatorTables, density: np.ndarray):
                 sums[b, r0:r1] += panel[:, b * W:(b + 1) * W] @ number[r0 + D:]
         else:
             # the triangles lead each row and sum into the death rate
-            sums[0, r0 + D:] += Y[0, :n_tri * W].reshape(n_tri, W).sum(axis=0)
-            sums[0, r0:r1] += panel[:, :n_tri * W] @ np.concatenate(
-                [number[r0 + D:]] * n_tri)
+            v = number[r0 + D:]
+            sums[0, r0 + D:] += Y[0, :W]
+            if n_tri > 1:                     # F and Ê
+                sums[0, r0 + D:] += Y[0, W:2 * W]
+                v = np.concatenate((v, v))
+            sums[0, r0:r1] += panel[:, :n_tri * W] @ v
         # adding into a view skips the copy back of ``a[:, i:] += ...``
         cols = coag[:, r0 + D:]
         cols += Y[:, hat * W:(hat + 1) * W]
@@ -585,11 +588,11 @@ def _rates(tables: OperatorTables, density: np.ndarray):
             for b in range(n_tri):
                 into = sums[b if per_parent else 0]
                 into += np.vecdot(rate[b, d0:d1, :N], ahead[d0:d1], axis=0)
-                # the larger partner's side: a product formed above, else
-                # (K per parent or under offgrid_loss) a product of its own
-                if b == hat or (b == brk and len(prod) > 1):
-                    into += prod[int(b != hat), :n].sum(axis=0)
-                else:
+                # the larger partner's side: Ê's from its classes' sums
+                # below, F's from its product above, else a product here
+                if b == brk and len(prod) > 1:
+                    into += prod[1, :n].sum(axis=0)
+                elif b != hat:
                     into += np.vecdot(larger[b, d0:d1], behind[0, d0:d1],
                                       axis=0)
             # the sums of the chunk's classes, a class's part of them; the
@@ -597,6 +600,8 @@ def _rates(tables: OperatorTables, density: np.ndarray):
             q0, q1 = cls[d0], cls[d1 - 1] + 1 if d1 < D else Q + 1
             part = np.empty((2, q1 - q0, N))
             np.matmul(member[q0:q1, d0:d1], prod[0, :n], out=part[0])
+            if hat < n_tri:                   # Ê is a triangle
+                sums[0] += part[0].sum(axis=0)
             if not per_parent:
                 # n_i times the breakage rate, F or K with 1 - E in the
                 # weights; its sums weighted per offset by class, times n_j
