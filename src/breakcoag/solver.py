@@ -190,12 +190,12 @@ def _frag_partial(daughter: DaughterSpec, grid: Grid, s: np.ndarray):
     return (t, *_frag_lump(daughter.nu, grid.centers, e[t], s))
 
 
-def _edge_fold(grid: Grid) -> np.ndarray:
+def _edge_fold(grid: Grid):
     """Mass factors e_0 / e_1 and e_N / e_{N-1} of the edge columns -1 and
     N, a cell past either end of the grid: a deposit there folds onto the
     end cell keeping mass."""
     e = grid.edges
-    return np.array([e[0] / e[1], e[-1] / e[-2]])
+    return e[0] / e[1], e[-1] / e[-2]
 
 
 def build_tables(grid: Grid, kernel: KernelSpec, n_trunc: float,
@@ -538,12 +538,13 @@ def _rates(tables: OperatorTables, density: np.ndarray):
             brk_sums[:2] *= 1.0 - tables.prob.params["value"]
         e = g.edges[:-1]
         lost = (e / c) ** nu1 * T
-        num = (A - lost) * ((nu1 + 1.0) / nu1)
-        part = np.array([num, B + c * A - e * lost
-                         - np.concatenate((c[:1], c[:-1])) * num])
-        part *= number
-        lumps[:, :N - 1] += part[:, 1:]
-        lumps[:, N] += part[:, 0]
+        B += c * A - e * lost                 # the mass, then its height
+        A -= lost                             # the number
+        A *= (nu1 + 1.0) / nu1
+        B -= np.concatenate((c[:1], c[:-1])) * A
+        brk_sums[:2] *= number
+        lumps[:, :N - 1] += brk_sums[:2, 1:]
+        lumps[:, N] += brk_sums[:2, 0]
         # the band's fragments land on the cells of their class's rows
         # in band_class, (classes, streams, N) from row Q + 1: 1 + the
         # cell l (from the edge column -1 to N) for the partial cell's
@@ -575,9 +576,10 @@ def _rates(tables: OperatorTables, density: np.ndarray):
         prod = np.empty((1 + (not per_parent and hat > 0),
                          min(D, _BAND_DIAGONALS), N))
         if not per_parent:
-            # the weights per offset of each fragment class's diagonals
+            # the weights per offset of each fragment class's diagonals,
+            # row 3 f + k for class f and stream k
             weights = ((fcls[:D] == np.arange(len(cells))[:, None, None])
-                       * tables.frag_w[:, :D])
+                       * tables.frag_w[:, :D]).reshape(-1, D)
             per_j = np.array([number, number, top_scale])
         for d0 in range(0, D, _BAND_DIAGONALS):
             d1 = min(d0 + _BAND_DIAGONALS, D)
@@ -607,7 +609,8 @@ def _rates(tables: OperatorTables, density: np.ndarray):
                 # weights; its sums weighted per offset by class, times n_j
                 # (and c_j^-(nu+1)), land on their class's cells
                 f0, f1 = fcls[d0], fcls[d1 - 1] + 1
-                frags = weights[f0:f1, :, d0:d1] @ prod[-1, :n]
+                frags = (weights[3 * f0:3 * f1, d0:d1]
+                         @ prod[-1, :n]).reshape(-1, 3, N)
                 frags *= per_j
                 landed += np.bincount(cells[f0:f1].ravel(), frags.ravel(),
                                       2 * N + 3)
@@ -635,7 +638,9 @@ def _rates(tables: OperatorTables, density: np.ndarray):
         # landed: 1 + cell l, N + 2 + top cell t; the edge columns, cells
         # -1 and N, fold onto the end cells keeping mass
         gain += landed[1:N + 1]
-        gain[[0, -1]] += landed[[0, N + 1]] * _edge_fold(g)
+        fold = _edge_fold(g)
+        gain[0] += landed[0] * fold[0]
+        gain[-1] += landed[N + 1] * fold[1]
         top = landed[N + 2:]
     gain[1:] += up
     # top cell t receives the lump and every complete cell below t
