@@ -146,9 +146,9 @@ class OperatorTables:
     offgrid_loss: bool
     gain_w: np.ndarray                 # row panels of the tables of _rows
     panel_off: np.ndarray              # (2, P + 1) first row, flat start
-    frag_w: np.ndarray                 # (3, N) fragment weights: cells j - 1, j,
-                                       # top j per parent j; per offset d under
-                                       # a pair law (see build_tables)
+    frag_w: np.ndarray                 # (3, N) fragment weights: cells
+                                       # j - 1, j, top j per parent j; per
+                                       # offset d under a pair law
     band_rate: np.ndarray              # (B, D, N + 1) [b, d, i]: pair (i, i + d)
     band_class: np.ndarray             # cells per class and j; the class of
                                        # each diagonal (see build_tables)
